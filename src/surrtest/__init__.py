@@ -41,19 +41,11 @@ from .estimators import (
     Mu0Curve,
     Mu0Surface,
     delta_gold,
-    delta_h_aug,
-    delta_h_pooled,
-    delta_h_simple,
-    delta_h_twostage,
     delta_p,
     estimate_suite,
     fit_mu0_curve,
     fit_mu0_surface,
-    m_hat,
     pte_ratio,
-    sigma_aug,
-    sigma_h,
-    transform_arm,
 )
 from .inference import TestOutcome, normal_cdf, normal_quantile, wald_test
 from .oracles import (
@@ -81,8 +73,6 @@ from .smoothing import (
     SmoothingConfig,
     default_bandwidths,
     kernel_weight,
-    nw_smooth_1d,
-    nw_smooth_2d,
     rule_of_thumb_bandwidth,
 )
 

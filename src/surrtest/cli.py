@@ -40,11 +40,12 @@ from .oracles import (
 )
 from .simulate import SimConfig, run_simulation
 from .smoothing import (
+    BANDWIDTH_RECIPE,
     Bandwidths,
     KernelKind,
     OobPolicy,
     SmoothingConfig,
-    rule_of_thumb_bandwidth,
+    default_bandwidths,
 )
 
 _METHOD_ORDER = ("gold", "p", "h_pooled", "h_simple", "h_twostage", "h_aug")
@@ -133,7 +134,6 @@ def cmd_test(args) -> int:
     if args.bandwidths is not None:
         bw = Bandwidths(*args.bandwidths)
     else:
-        from .smoothing import default_bandwidths
         bw = default_bandwidths(paired, scfg.kernel)
 
     t0 = time.perf_counter()
@@ -234,14 +234,12 @@ def cmd_simulate(args) -> int:
         raise SurrtestError("simulate needs --setting (flag or config file)")
     if args.reps < 1:
         raise SurrtestError("--reps must be a positive integer")
-    oob = args.oob if args.oob is not None else "clamp"
-    args.oob = oob
+    scfg = _smoothing_config(args, default_oob="clamp")
     cfg = SimConfig(
         setting=args.setting, n1p=args.n1p, n0p=args.n0p, n1=args.n1, n0=args.n0,
         reps=args.reps, master_seed=args.seed, alpha=args.alpha,
         fix_prior=args.fix_prior, truth_mc_draws=args.truth_draws,
-        kernel=KernelKind.parse(args.kernel), oob_policy=OobPolicy.parse(oob),
-        threads=args.threads)
+        kernel=scfg.kernel, oob_policy=scfg.oob_policy, threads=args.threads)
 
     t0 = time.perf_counter()
     summary = run_simulation(cfg)
@@ -249,7 +247,7 @@ def cmd_simulate(args) -> int:
 
     print(f"setting {summary.setting}: reps={summary.reps} "
           f"(n1p={cfg.n1p}, n0p={cfg.n0p}, n1={cfg.n1}, n0={cfg.n0}) "
-          f"seed={cfg.master_seed} kernel={args.kernel} oob={oob}")
+          f"seed={cfg.master_seed} kernel={args.kernel} oob={args.oob}")
     print(f"truth: delta={summary.truth_delta:.4f} "
           f"delta_h={summary.truth_delta_h:.4f} "
           f"tilde_delta_h={summary.truth_tilde_delta_h:.4f}")
@@ -360,34 +358,25 @@ def cmd_bandwidths(args) -> int:
     current = load_study_csv(args.current_csv, label="current")
     paired = validate_paired(prior, current)
 
-    specs = [
-        ("h0", "current control w", paired.current.control.w,
-         paired.current.control.n, -0.4, 1.0),
-        ("h1", "current treated w", paired.current.treated.w,
-         paired.current.treated.n, -0.4, 1.0),
-        ("h2", "prior control s", paired.prior.control.s,
-         paired.prior.control.n, -0.4, 2.0),
-        ("h3", "prior control w", paired.prior.control.w,
-         paired.prior.control.n, -0.4, 2.0),
-        ("h4", "prior control s", paired.prior.control.s,
-         paired.prior.control.n, -0.31, 1.0),
-    ]
     rows = []
     print(f"{'name':<5} {'value':>10} {'variable':<18} {'sd':>9} {'IQR':>9} "
           f"{'n':>6} {'exponent':>9} {'multiplier':>10}")
-    for name, varname, values, n, exponent, multiplier in specs:
+    for rule in BANDWIDTH_RECIPE:
+        arm = rule.arm_of(paired)
+        values = getattr(arm, rule.variable)
+        label = f"{rule.study} {rule.arm} {rule.variable}"
         sd = float(np.std(values, ddof=1))
         q25, q75 = np.quantile(values, [0.25, 0.75])
         iqr = float(q75 - q25)
         try:
-            h = rule_of_thumb_bandwidth(values, n, exponent, multiplier)
+            h = rule.resolve(arm)
         except DegenerateSpread as exc:
-            raise DegenerateSpread(f"{name} ({varname}): {exc}") from None
-        print(f"{name:<5} {h:>10.5f} {varname:<18} {sd:>9.4f} {iqr:>9.4f} "
-              f"{n:>6} {exponent:>9} {multiplier:>10}")
-        rows.append({"name": name, "value": h, "variable": varname, "sd": sd,
-                     "iqr": iqr, "n": n, "exponent": exponent,
-                     "multiplier": multiplier})
+            raise DegenerateSpread(f"{rule.name} ({label}): {exc}") from None
+        print(f"{rule.name:<5} {h:>10.5f} {label:<18} {sd:>9.4f} {iqr:>9.4f} "
+              f"{arm.n:>6} {rule.exponent:>9} {rule.multiplier:>10}")
+        rows.append({"name": rule.name, "value": h, "variable": label,
+                     "sd": sd, "iqr": iqr, "n": arm.n, "exponent": rule.exponent,
+                     "multiplier": rule.multiplier})
 
     report = _common_report(args, "bandwidths")
     report.update({
@@ -461,7 +450,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="epanechnikov")
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--oob", choices=["error", "clamp"], default=None,
                         help="out-of-support policy (default: clamp, with "
                              "counts reported)")
@@ -505,6 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="redraw the prior study every replication")
     p_sim.add_argument("--truth-draws", type=int, default=10**6,
                        help="Monte-Carlo draws for the fixed-surface target")
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="worker threads for the replications")
     _add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

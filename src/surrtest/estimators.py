@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PairedStudies, StudyArm, TwoArmStudy
+from .data import PairedStudies, TwoArmStudy
 from .errors import MissingOutcome, ZeroDenominator
 from .smoothing import (
     Bandwidths,
@@ -40,14 +40,6 @@ __all__ = [
     "Mu0Curve",
     "fit_mu0_surface",
     "fit_mu0_curve",
-    "transform_arm",
-    "m_hat",
-    "delta_h_simple",
-    "delta_h_twostage",
-    "delta_h_pooled",
-    "delta_h_aug",
-    "sigma_h",
-    "sigma_aug",
     "delta_p",
     "delta_gold",
     "pte_ratio",
@@ -68,9 +60,9 @@ class Method(enum.Enum):
 class EstimateWithSE:
     """A point estimate with its standard error and provenance counts.
 
-    n_clamped counts surface/curve/smoother evaluations that fell outside the
-    kernel support and were re-evaluated at the nearest data point (always 0
-    under the ERROR out-of-bounds policy).
+    n_clamped counts the surface/curve/smoother evaluations this estimate
+    uses that fell outside the kernel support and were re-evaluated at the
+    nearest data point (always 0 under the ERROR out-of-bounds policy).
     """
 
     estimate: float
@@ -102,10 +94,6 @@ class Mu0Surface:
         return nw_surface_many(self.s, self.w, self.y, self.h_s, self.h_w,
                                self.kernel, s0s, w0s, self.cfg)
 
-    def evaluate(self, s0: float, w0: float) -> float:
-        vals, _ = self.evaluate_many([s0], [w0])
-        return float(vals[0])
-
 
 @dataclass(frozen=True)
 class Mu0Curve:
@@ -119,10 +107,6 @@ class Mu0Curve:
 
     def evaluate_many(self, s0s):
         return nw_curve_many(self.s, self.y, self.h, self.kernel, s0s, self.cfg)
-
-    def evaluate(self, s0: float) -> float:
-        vals, _ = self.evaluate_many([s0])
-        return float(vals[0])
 
 
 def fit_mu0_surface(paired: PairedStudies, bw: Bandwidths,
@@ -142,24 +126,6 @@ def fit_mu0_curve(paired: PairedStudies, bw: Bandwidths,
     return Mu0Curve(s=arm.s, y=arm.y, h=bw.h4, kernel=kernel, cfg=cfg)
 
 
-def transform_arm(surface: Mu0Surface, arm: StudyArm) -> np.ndarray:
-    """Surface value at each of the arm's (s, w) points (the transported outcomes)."""
-    vals, _ = surface.evaluate_many(arm.s, arm.w)
-    return vals
-
-
-def m_hat(arm_g: StudyArm, surface: Mu0Surface, w0: float, h_g: float,
-          kernel: KernelKind, cfg: SmoothingConfig) -> float:
-    """Arm-level mean of transported outcomes at covariate value w0.
-
-    One-dimensional kernel smooth of the arm's transported outcomes against
-    its own covariate values.
-    """
-    tvals, _ = surface.evaluate_many(arm_g.s, arm_g.w)
-    vals, _ = nw_curve_many(arm_g.w, tvals, h_g, kernel, [w0], cfg)
-    return float(vals[0])
-
-
 def _two_sample_se(a: np.ndarray, b: np.ndarray) -> float:
     va = float(np.var(a, ddof=1)) if a.size > 1 else 0.0
     vb = float(np.var(b, ddof=1)) if b.size > 1 else 0.0
@@ -171,7 +137,9 @@ class _HParts:
     """Shared intermediates for the heterogeneity-aware estimators.
 
     s1t/s0t are the transported outcomes per arm; mg_wk holds the arm-g
-    smoothed mean evaluated at arm k's covariate points.
+    smoothed mean evaluated at arm k's covariate points.  n_clamped counts
+    every clamped query, n_clamped_transport only those of the surface
+    evaluations behind s1t/s0t.
     """
 
     s1t: np.ndarray
@@ -180,6 +148,7 @@ class _HParts:
     m1_w0: np.ndarray
     m0_w1: np.ndarray
     m0_w0: np.ndarray
+    n_clamped_transport: int
     n_clamped: int
 
     @property
@@ -205,16 +174,24 @@ def _compute_h_parts(paired: PairedStudies, surface: Mu0Surface,
         s1t=s1t, s0t=s0t,
         m1_w1=m1_all[:n1], m1_w0=m1_all[n1:],
         m0_w1=m0_all[:n1], m0_w0=m0_all[n1:],
+        n_clamped_transport=c1 + c0,
         n_clamped=c1 + c0 + c2 + c3,
     )
 
 
 def _pooled_from_parts(p: _HParts) -> float:
+    """The headline estimator: both smoothed means averaged over the pooled covariates.
+
+    Randomization makes the covariate distribution identical across arms, so
+    evaluating both arm means over all n covariate values recovers the same
+    limit with lower variance.
+    """
     n = p.n1 + p.n0
     return float((p.m1_w0.sum() + p.m1_w1.sum() - p.m0_w0.sum() - p.m0_w1.sum()) / n)
 
 
 def _sigma_h_from_parts(p: _HParts, delta_h: float) -> float:
+    """Standard error of the pooled and twostage estimators, centered at delta_h."""
     n1, n0 = p.n1, p.n0
     n = n1 + n0
     pi1 = n1 / n
@@ -231,6 +208,7 @@ def _sigma_h_from_parts(p: _HParts, delta_h: float) -> float:
 
 
 def _sigma_aug_from_parts(p: _HParts, delta_h: float) -> float:
+    """Standard error of the augmented estimator (four-term decomposition)."""
     n1, n0 = p.n1, p.n0
     n = n1 + n0
     pi1 = n1 / n
@@ -248,6 +226,7 @@ def _sigma_aug_from_parts(p: _HParts, delta_h: float) -> float:
 
 
 def _aug_from_parts(p: _HParts) -> float:
+    """Augmented form: transported outcomes centered by the arm-share blend of m1, m0."""
     n1, n0 = p.n1, p.n0
     n = n1 + n0
     pi1 = n1 / n
@@ -255,79 +234,6 @@ def _aug_from_parts(p: _HParts) -> float:
     mopt_w1 = pi0 * p.m1_w1 + pi1 * p.m0_w1
     mopt_w0 = pi0 * p.m1_w0 + pi1 * p.m0_w0
     return float((p.s1t - mopt_w1).mean() - (p.s0t - mopt_w0).mean())
-
-
-def delta_h_simple(paired: PairedStudies, surface: Mu0Surface,
-                   cfg: SmoothingConfig) -> EstimateWithSE:
-    """Difference of arm means of transported outcomes (no covariate smoothing)."""
-    tre = paired.current.treated
-    ctl = paired.current.control
-    s1t, c1 = surface.evaluate_many(tre.s, tre.w)
-    s0t, c0 = surface.evaluate_many(ctl.s, ctl.w)
-    return EstimateWithSE(
-        estimate=float(s1t.mean() - s0t.mean()),
-        se=_two_sample_se(s1t, s0t),
-        method=Method.H_SIMPLE, n1=tre.n, n0=ctl.n, n_clamped=c1 + c0)
-
-
-def delta_h_twostage(paired: PairedStudies, surface: Mu0Surface,
-                     bw: Bandwidths, cfg: SmoothingConfig) -> EstimateWithSE:
-    """Each arm's smoothed means evaluated at its own covariate points, then contrasted."""
-    p = _compute_h_parts(paired, surface, bw, cfg)
-    est = float(p.m1_w1.mean() - p.m0_w0.mean())
-    return EstimateWithSE(estimate=est, se=_sigma_h_from_parts(p, est),
-                          method=Method.H_TWOSTAGE, n1=p.n1, n0=p.n0,
-                          n_clamped=p.n_clamped)
-
-
-def delta_h_pooled(paired: PairedStudies, surface: Mu0Surface,
-                   bw: Bandwidths, cfg: SmoothingConfig) -> EstimateWithSE:
-    """The headline estimator: both smoothed means averaged over the pooled covariates.
-
-    Randomization makes the covariate distribution identical across arms, so
-    evaluating both arm means over all n covariate values recovers the same
-    limit with lower variance.
-    """
-    p = _compute_h_parts(paired, surface, bw, cfg)
-    est = _pooled_from_parts(p)
-    return EstimateWithSE(estimate=est, se=_sigma_h_from_parts(p, est),
-                          method=Method.H_POOLED, n1=p.n1, n0=p.n0,
-                          n_clamped=p.n_clamped)
-
-
-def delta_h_aug(paired: PairedStudies, surface: Mu0Surface,
-                bw: Bandwidths, cfg: SmoothingConfig) -> EstimateWithSE:
-    """Augmented form: transported outcomes centered by the optimal covariate trend.
-
-    The centering trend is the arm-probability-weighted blend of the two
-    smoothed means; its standard error uses the four-term augmented variance
-    with the pooled point estimate as the contrast center.
-    """
-    p = _compute_h_parts(paired, surface, bw, cfg)
-    est = _aug_from_parts(p)
-    return EstimateWithSE(estimate=est,
-                          se=_sigma_aug_from_parts(p, _pooled_from_parts(p)),
-                          method=Method.H_AUG, n1=p.n1, n0=p.n0,
-                          n_clamped=p.n_clamped)
-
-
-def sigma_h(paired: PairedStudies, surface: Mu0Surface, bw: Bandwidths,
-            delta_h: float, cfg: SmoothingConfig) -> float:
-    """Standard error of the pooled heterogeneity-aware estimator.
-
-    Square root of the two-arm sum of squared residuals of transported
-    outcomes around the blended smoothed means, with the arm-share-scaled
-    point estimate removed, each arm weighted by 1/n_g^2.
-    """
-    p = _compute_h_parts(paired, surface, bw, cfg)
-    return _sigma_h_from_parts(p, delta_h)
-
-
-def sigma_aug(paired: PairedStudies, surface: Mu0Surface, bw: Bandwidths,
-              delta_h: float, cfg: SmoothingConfig) -> float:
-    """Standard error of the augmented estimator (four-term decomposition)."""
-    p = _compute_h_parts(paired, surface, bw, cfg)
-    return _sigma_aug_from_parts(p, delta_h)
 
 
 def delta_p(paired: PairedStudies, curve: Mu0Curve,
@@ -368,8 +274,11 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig,
 
     Returns a dict keyed by Method.  The heavy pieces (surface transforms,
     smoothed means) are computed once and reused, so this is the entry point
-    the simulation harness and CLI both use.  The gold row appears only when
-    requested and both current arms carry outcomes.
+    the simulation harness and CLI both use.  The simple form is the
+    difference of arm means of transported outcomes; twostage contrasts each
+    arm's smoothed mean at its own covariate points; the augmented SE uses
+    the pooled estimate as its contrast center.  The gold row appears only
+    when requested and both current arms carry outcomes.
     """
     surface = fit_mu0_surface(paired, bw, cfg.kernel, cfg)
     curve = fit_mu0_curve(paired, bw, cfg.kernel, cfg)
@@ -385,7 +294,8 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig,
         Method.H_POOLED: EstimateWithSE(pooled, _sigma_h_from_parts(p, pooled),
                                         Method.H_POOLED, n1, n0, p.n_clamped),
         Method.H_SIMPLE: EstimateWithSE(simple, _two_sample_se(p.s1t, p.s0t),
-                                        Method.H_SIMPLE, n1, n0, p.n_clamped),
+                                        Method.H_SIMPLE, n1, n0,
+                                        p.n_clamped_transport),
         Method.H_TWOSTAGE: EstimateWithSE(twostage, _sigma_h_from_parts(p, twostage),
                                           Method.H_TWOSTAGE, n1, n0, p.n_clamped),
         Method.H_AUG: EstimateWithSE(aug, _sigma_aug_from_parts(p, pooled),

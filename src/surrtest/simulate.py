@@ -47,11 +47,11 @@ from .errors import OutOfSupport, UnknownSetting
 from .estimators import Method, Mu0Surface, estimate_suite
 from .inference import normal_quantile
 from .smoothing import (
+    BANDWIDTH_RECIPE,
     KernelKind,
     OobPolicy,
     SmoothingConfig,
     default_bandwidths,
-    rule_of_thumb_bandwidth,
 )
 
 __all__ = [
@@ -343,12 +343,12 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
         prior = generate_setting(cfg.setting, "prior", cfg.n1p, cfg.n0p,
                                  cfg.master_seed, rep=0)
         # The tilde target needs the surface the replications will use; its
-        # bandwidths depend only on the prior control arm.
+        # bandwidths h2/h3 depend only on the prior control arm.
         pc = prior.control
+        rules = {rule.name: rule for rule in BANDWIDTH_RECIPE}
         surface = Mu0Surface(
             s=pc.s, w=pc.w, y=pc.y,
-            h_s=rule_of_thumb_bandwidth(pc.s, pc.n, -0.4, multiplier=2.0),
-            h_w=rule_of_thumb_bandwidth(pc.w, pc.n, -0.4, multiplier=2.0),
+            h_s=rules["h2"].resolve(pc), h_w=rules["h3"].resolve(pc),
             kernel=scfg.kernel, cfg=scfg)
         tilde = tilde_delta_h(surface, cfg.setting, cfg.truth_mc_draws, cfg.master_seed)
 

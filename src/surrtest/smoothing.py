@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,11 +22,11 @@ __all__ = [
     "OobPolicy",
     "Bandwidths",
     "SmoothingConfig",
+    "BandwidthRule",
+    "BANDWIDTH_RECIPE",
     "kernel_weight",
     "rule_of_thumb_bandwidth",
     "default_bandwidths",
-    "nw_smooth_1d",
-    "nw_smooth_2d",
     "nw_curve_many",
     "nw_surface_many",
 ]
@@ -89,24 +89,18 @@ class Bandwidths:
 
     def __post_init__(self):
         for name in ("h0", "h1", "h2", "h3", "h4"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise NonPositiveBandwidth(
-                    f"bandwidth {name} must be positive and finite, got {v!r}")
+            _check_bandwidth(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
 class SmoothingConfig:
     """Evaluation policy shared by all smoother calls.
 
-    `bandwidths` is optional here because they are usually resolved from data
-    after the config is chosen; operations that need a bandwidth take it as an
-    explicit argument.  `denom_floor` is the minimum admissible summed kernel
-    mass (in K_h units, the 1/h normalization included).
+    `denom_floor` is the minimum admissible summed kernel mass (in K_h units,
+    the 1/h normalization included).
     """
 
     kernel: KernelKind = KernelKind.EPANECHNIKOV
-    bandwidths: Optional[Bandwidths] = None
     denom_floor: float = 1e-10
     oob_policy: OobPolicy = OobPolicy.ERROR
 
@@ -127,8 +121,7 @@ def _profile(kind: KernelKind, u: np.ndarray) -> np.ndarray:
 
 def kernel_weight(kind: KernelKind, u: float, h: float) -> float:
     """K(u/h)/h, the bandwidth-normalized kernel weight at signed distance u."""
-    if not (math.isfinite(h) and h > 0):
-        raise NonPositiveBandwidth(f"bandwidth must be positive, got {h!r}")
+    _check_bandwidth(h, "h")
     return float(_profile(kind, np.asarray(u, dtype=float) / h)) / h
 
 
@@ -152,39 +145,58 @@ def rule_of_thumb_bandwidth(values, n_for_rate: int, exponent: float,
     return multiplier * 1.06 * min(sd, iqr / 1.34) * float(n_for_rate) ** exponent
 
 
-def default_bandwidths(paired, kernel: KernelKind = KernelKind.EPANECHNIKOV) -> Bandwidths:
-    """Resolve all five bandwidths from a validated study pair.
+class BandwidthRule(NamedTuple):
+    """One bandwidth of the recipe: which study variable feeds it, at which rate."""
 
-    h0/h1 come from the current study's control/treated covariate (rate
-    n^(-2/5)); h2/h3 from the prior control surrogate/covariate with an extra
-    factor 2 (rate n^(-2/5)); h4 from the prior control surrogate (rate
-    n^(-0.31)).  All rate exponents sit in the undersmoothing window
-    (1/4, 1/2).  The normal-reference constant 1.06 is used for either kernel;
-    `kernel` is accepted so call sites can keep config plumbing uniform.
+    name: str
+    study: str  # "current" or "prior"
+    arm: str  # "treated" or "control"
+    variable: str  # "s" or "w"
+    exponent: float
+    multiplier: float
+
+    def arm_of(self, paired):
+        """The study arm this bandwidth is computed from."""
+        return getattr(getattr(paired, self.study), self.arm)
+
+    def resolve(self, arm) -> float:
+        """Rule-of-thumb bandwidth from `arm`, with the arm size as the rate n."""
+        return rule_of_thumb_bandwidth(getattr(arm, self.variable), arm.n,
+                                       self.exponent, self.multiplier)
+
+
+# All rate exponents sit in the undersmoothing window (1/4, 1/2); the
+# surface bandwidths h2/h3 carry an extra factor 2.
+BANDWIDTH_RECIPE = (
+    BandwidthRule("h0", "current", "control", "w", -0.4, 1.0),
+    BandwidthRule("h1", "current", "treated", "w", -0.4, 1.0),
+    BandwidthRule("h2", "prior", "control", "s", -0.4, 2.0),
+    BandwidthRule("h3", "prior", "control", "w", -0.4, 2.0),
+    BandwidthRule("h4", "prior", "control", "s", -0.31, 1.0),
+)
+
+
+def default_bandwidths(paired, kernel: KernelKind = KernelKind.EPANECHNIKOV) -> Bandwidths:
+    """Resolve all five bandwidths from a validated study pair by BANDWIDTH_RECIPE.
+
+    The normal-reference constant 1.06 is used for either kernel; `kernel` is
+    accepted so call sites can keep config plumbing uniform.
     """
     del kernel  # constants are normal-reference regardless of kernel shape
-    cur = paired.current
-    pri = paired.prior
-    n0p = pri.control.n
-    return Bandwidths(
-        h0=rule_of_thumb_bandwidth(cur.control.w, cur.control.n, -0.4),
-        h1=rule_of_thumb_bandwidth(cur.treated.w, cur.treated.n, -0.4),
-        h2=rule_of_thumb_bandwidth(pri.control.s, n0p, -0.4, multiplier=2.0),
-        h3=rule_of_thumb_bandwidth(pri.control.w, n0p, -0.4, multiplier=2.0),
-        h4=rule_of_thumb_bandwidth(pri.control.s, n0p, -0.31),
-    )
+    return Bandwidths(**{rule.name: rule.resolve(rule.arm_of(paired))
+                         for rule in BANDWIDTH_RECIPE})
 
 
 def _check_bandwidth(h: float, name: str) -> None:
     if not (math.isfinite(h) and h > 0):
-        raise NonPositiveBandwidth(f"bandwidth {name} must be positive, got {h!r}")
+        raise NonPositiveBandwidth(f"bandwidth {name} must be positive and finite, got {h!r}")
 
 
-def _resolve_low_mass(denom, queries, data_coords, cfg, recompute):
+def _resolve_low_mass(denom, queries, data, cfg, recompute):
     """Apply the out-of-bounds policy to queries whose kernel mass is below floor.
 
     `queries` is a list of query-coordinate arrays (one per dimension, copies),
-    `data_coords` the matching data arrays scaled to comparable units, and
+    `data` the matching (data coordinate, bandwidth) pairs, and
     `recompute(idx)` re-evaluates numerator/denominator rows for the given
     query indices after the coordinates have been clamped in place.
     Returns the clamped-query count.
@@ -198,6 +210,7 @@ def _resolve_low_mass(denom, queries, data_coords, cfg, recompute):
             f"{cfg.denom_floor}; nearest-point clamping is disabled",
             indices=bad.copy())
     # Nearest observed point in bandwidth-scaled coordinates.
+    data_coords = [(x / h, h) for x, h in data]
     dist2 = np.zeros((bad.size, data_coords[0][0].size))
     for (data_scaled, h), q in zip(data_coords, queries):
         dist2 += ((data_scaled[None, :] - q[bad, None] / h)) ** 2
@@ -213,6 +226,38 @@ def _resolve_low_mass(denom, queries, data_coords, cfg, recompute):
     return int(bad.size)
 
 
+def _nw_product(data, ys, queries, kernel: KernelKind,
+               cfg: SmoothingConfig) -> tuple[np.ndarray, int]:
+    """Product-kernel Nadaraya-Watson smoother over any number of coordinates.
+
+    `data` holds one (data coordinate, bandwidth) pair per dimension and
+    `queries` the matching query arrays.  Queries are evaluated in blocks of
+    _CHUNK; returns (values, clamped-query count).
+    """
+    out = np.empty_like(queries[0])
+    clamped = 0
+    for lo in range(0, out.size, _CHUNK):
+        hi = min(lo + _CHUNK, out.size)
+        q = [qd[lo:hi].copy() for qd in queries]
+        num = np.empty(hi - lo)
+        den = np.empty(hi - lo)
+
+        def fill(idx, q=q, num=num, den=den):
+            # raw kernel sums, no 1/h: the ratio cancels it anyway and the
+            # mass floor must not depend on the bandwidth scale
+            wts = None
+            for (x, h), qd in zip(data, q):
+                k = _profile(kernel, (x[None, :] - qd[idx, None]) / h)
+                wts = k if wts is None else np.multiply(wts, k, out=wts)
+            num[idx] = wts @ ys
+            den[idx] = wts.sum(axis=1)
+
+        fill(slice(None))
+        clamped += _resolve_low_mass(den, q, data, cfg, fill)
+        out[lo:hi] = num / den
+    return out, clamped
+
+
 def nw_curve_many(xs, ys, h: float, kernel: KernelKind, x0s,
                   cfg: SmoothingConfig) -> tuple[np.ndarray, int]:
     """Vectorized 1-D Nadaraya-Watson smoother.
@@ -226,28 +271,8 @@ def nw_curve_many(xs, ys, h: float, kernel: KernelKind, x0s,
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
         raise ValueError("xs and ys must be equal-length nonempty 1-D arrays")
-    x0s = np.array(x0s, dtype=float, ndmin=1, copy=True)
-
-    out = np.empty_like(x0s)
-    clamped = 0
-    xs_scaled = xs / h
-    for lo in range(0, x0s.size, _CHUNK):
-        hi = min(lo + _CHUNK, x0s.size)
-        q = x0s[lo:hi].copy()
-        num = np.empty(hi - lo)
-        den = np.empty(hi - lo)
-
-        def fill(idx, q=q, num=num, den=den):
-            # raw kernel sums, no 1/h: the ratio cancels it anyway and the
-            # mass floor must not depend on the bandwidth scale
-            wts = _profile(kernel, (xs[None, :] - q[idx, None]) / h)
-            num[idx] = wts @ ys
-            den[idx] = wts.sum(axis=1)
-
-        fill(slice(None))
-        clamped += _resolve_low_mass(den, [q], [(xs_scaled, h)], cfg, fill)
-        out[lo:hi] = num / den
-    return out, clamped
+    x0s = np.array(x0s, dtype=float, ndmin=1)
+    return _nw_product([(xs, h)], ys, [x0s], kernel, cfg)
 
 
 def nw_surface_many(ss, ws, ys, h_s: float, h_w: float, kernel: KernelKind,
@@ -264,44 +289,8 @@ def nw_surface_many(ss, ws, ys, h_s: float, h_w: float, kernel: KernelKind,
     ys = np.asarray(ys, dtype=float)
     if not (ss.shape == ws.shape == ys.shape) or ss.ndim != 1 or ss.size == 0:
         raise ValueError("ss, ws, ys must be equal-length nonempty 1-D arrays")
-    s0s = np.array(s0s, dtype=float, ndmin=1, copy=True)
-    w0s = np.array(w0s, dtype=float, ndmin=1, copy=True)
+    s0s = np.array(s0s, dtype=float, ndmin=1)
+    w0s = np.array(w0s, dtype=float, ndmin=1)
     if s0s.shape != w0s.shape:
         raise ValueError("query arrays must have matching shapes")
-
-    out = np.empty_like(s0s)
-    clamped = 0
-    ss_scaled = ss / h_s
-    ws_scaled = ws / h_w
-    for lo in range(0, s0s.size, _CHUNK):
-        hi = min(lo + _CHUNK, s0s.size)
-        qs = s0s[lo:hi].copy()
-        qw = w0s[lo:hi].copy()
-        num = np.empty(hi - lo)
-        den = np.empty(hi - lo)
-
-        def fill(idx, qs=qs, qw=qw, num=num, den=den):
-            wts = (_profile(kernel, (ss[None, :] - qs[idx, None]) / h_s)
-                   * _profile(kernel, (ws[None, :] - qw[idx, None]) / h_w))
-            num[idx] = wts @ ys
-            den[idx] = wts.sum(axis=1)
-
-        fill(slice(None))
-        clamped += _resolve_low_mass(
-            den, [qs, qw], [(ss_scaled, h_s), (ws_scaled, h_w)], cfg, fill)
-        out[lo:hi] = num / den
-    return out, clamped
-
-
-def nw_smooth_1d(xs, ys, h: float, kernel: KernelKind, x0: float,
-                 cfg: SmoothingConfig) -> float:
-    """Kernel-weighted average of ys at the single query point x0."""
-    vals, _ = nw_curve_many(xs, ys, h, kernel, [x0], cfg)
-    return float(vals[0])
-
-
-def nw_smooth_2d(ss, ws, ys, h_s: float, h_w: float, kernel: KernelKind,
-                 s0: float, w0: float, cfg: SmoothingConfig) -> float:
-    """Product-kernel weighted average of ys at the single query (s0, w0)."""
-    vals, _ = nw_surface_many(ss, ws, ys, h_s, h_w, kernel, [s0], [w0], cfg)
-    return float(vals[0])
+    return _nw_product([(ss, h_s), (ws, h_w)], ys, [s0s, w0s], kernel, cfg)

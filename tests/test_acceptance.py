@@ -33,8 +33,8 @@ from surrtest.smoothing import (
     OobPolicy,
     SmoothingConfig,
     default_bandwidths,
-    nw_smooth_1d,
-    nw_smooth_2d,
+    nw_curve_many,
+    nw_surface_many,
 )
 
 # One frozen master seed per setting: the reference tables correspond to a
@@ -272,13 +272,13 @@ def test_c7_se_ratio(setting):
 
 def test_c8_hand_fixtures():
     cfg = SmoothingConfig(kernel=KernelKind.EPANECHNIKOV)
-    got_1d = nw_smooth_1d([0.0, 1.0, 2.0], [0.0, 1.0, 2.0],
-                          1.5, cfg.kernel, 0.5, cfg)
+    (got_1d,), _ = nw_curve_many([0.0, 1.0, 2.0], [0.0, 1.0, 2.0],
+                                 1.5, cfg.kernel, [0.5], cfg)
     print(f"c8: 1-d fixture {got_1d:.12f} vs 0.5")
     assert got_1d == pytest.approx(0.5, abs=1e-9)
 
-    got_2d = nw_smooth_2d([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 2.0],
-                          1.5, 1.5, cfg.kernel, 0.5, 0.0, cfg)
+    (got_2d,), _ = nw_surface_many([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 2.0],
+                                   1.5, 1.5, cfg.kernel, [0.5], [0.0], cfg)
     print(f"c8: 2-d fixture {got_2d:.12f} vs 19/23")
     assert got_2d == pytest.approx(19.0 / 23.0, abs=1e-9)
 

@@ -243,8 +243,24 @@ def test_bandwidths_command(csv_pair, tmp_path, capsys):
     bw = default_bandwidths(paired, KernelKind.EPANECHNIKOV)
     for k in ("h0", "h1", "h2", "h3", "h4"):
         assert report["bandwidths"][k] == getattr(bw, k)
+
+    # the recipe rows: (name, variable, n, exponent, multiplier); the fixture
+    # has 160 prior control rows and 80 rows per current arm
+    recipe = [("h0", "current control w", 80, -0.4, 1.0),
+              ("h1", "current treated w", 80, -0.4, 1.0),
+              ("h2", "prior control s", 160, -0.4, 2.0),
+              ("h3", "prior control w", 160, -0.4, 2.0),
+              ("h4", "prior control s", 160, -0.31, 1.0)]
+    stats = report["statistics"]
+    assert [(r["name"], r["variable"], r["n"], r["exponent"], r["multiplier"])
+            for r in stats] == recipe
+    assert all(isinstance(r["n"], int) and isinstance(r["exponent"], float)
+               and isinstance(r["multiplier"], float) for r in stats)
     header, rows = csv_rows(out)
-    assert len(rows) == 5
+    assert header == ["name", "value", "variable", "sd", "iqr", "n",
+                      "exponent", "multiplier"]
+    assert [(c[0], c[2], c[5], c[6], c[7]) for c in (r.split(",") for r in rows)] == \
+        [(name, var, str(n), repr(e), repr(m)) for name, var, n, e, m in recipe]
 
 
 def test_bandwidths_constant_marker_names_column(csv_pair, tmp_path, capsys):

@@ -15,24 +15,13 @@ from surrtest.data import StudyArm, TwoArmStudy, validate_paired
 from surrtest.errors import MissingOutcome, ZeroDenominator
 from surrtest.estimators import (
     Method,
-    Mu0Curve,
-    Mu0Surface,
     delta_gold,
-    delta_h_aug,
-    delta_h_pooled,
-    delta_h_simple,
-    delta_h_twostage,
-    delta_p,
     estimate_suite,
     fit_mu0_curve,
     fit_mu0_surface,
-    m_hat,
     pte_ratio,
-    sigma_aug,
-    sigma_h,
-    transform_arm,
 )
-from surrtest.smoothing import Bandwidths, KernelKind, SmoothingConfig
+from surrtest.smoothing import Bandwidths, KernelKind, OobPolicy, SmoothingConfig
 
 from conftest import tiny_pair
 
@@ -173,49 +162,6 @@ def test_all_estimators_match_naive_reference():
     assert suite[Method.GOLD].se == pytest.approx(ref["se_gold"], **tol)
 
 
-def test_single_entry_points_match_suite():
-    paired = tiny_pair()
-    suite = estimate_suite(paired, BW, ERR_CFG)
-    surface = fit_mu0_surface(paired, BW, EPA, ERR_CFG)
-    curve = fit_mu0_curve(paired, BW, EPA, ERR_CFG)
-
-    assert delta_h_simple(paired, surface, ERR_CFG).estimate == \
-        suite[Method.H_SIMPLE].estimate
-    assert delta_h_twostage(paired, surface, BW, ERR_CFG).estimate == \
-        suite[Method.H_TWOSTAGE].estimate
-    assert delta_h_pooled(paired, surface, BW, ERR_CFG).estimate == \
-        suite[Method.H_POOLED].estimate
-    assert delta_h_aug(paired, surface, BW, ERR_CFG).estimate == \
-        suite[Method.H_AUG].estimate
-    assert delta_p(paired, curve, ERR_CFG).estimate == suite[Method.P].estimate
-    assert delta_gold(paired.current).estimate == suite[Method.GOLD].estimate
-
-    pooled = suite[Method.H_POOLED].estimate
-    assert sigma_h(paired, surface, BW, pooled, ERR_CFG) == \
-        suite[Method.H_POOLED].se
-    assert sigma_aug(paired, surface, BW, pooled, ERR_CFG) == \
-        suite[Method.H_AUG].se
-
-
-def test_m_hat_matches_naive():
-    paired = tiny_pair()
-    surface = fit_mu0_surface(paired, BW, EPA, ERR_CFG)
-    tre = paired.current.treated
-    tvals = naive_transform(paired, tre, BW.h2, BW.h3)
-    want = naive_m(list(tre.w), tvals, BW.h1, 1.0)
-    got = m_hat(tre, surface, 1.0, BW.h1, EPA, ERR_CFG)
-    assert got == pytest.approx(want, abs=1e-10)
-
-
-def test_transform_arm_matches_surface():
-    paired = tiny_pair()
-    surface = fit_mu0_surface(paired, BW, EPA, ERR_CFG)
-    vals = transform_arm(surface, paired.current.treated)
-    for i, (s, w) in enumerate(zip(paired.current.treated.s,
-                                   paired.current.treated.w)):
-        assert vals[i] == pytest.approx(surface.evaluate(s, w), abs=1e-12)
-
-
 # -------------------------------------------------------- exact identities
 
 def test_identical_arms_give_zero():
@@ -273,8 +219,9 @@ def test_blinding_changes_nothing_but_gold():
 
 
 def test_huge_current_bandwidths_collapse_twostage_to_simple():
-    # m_hat with an enormous covariate bandwidth is the plain arm mean of
-    # transported outcomes, so the twostage contrast equals the simple one
+    # an arm's smoothed mean under an enormous covariate bandwidth is the
+    # plain arm mean of transported outcomes, so the twostage contrast
+    # equals the simple one
     paired = tiny_pair()
     bw = Bandwidths(h0=1e12, h1=1e12, h2=2.0, h3=2.0, h4=2.0)
     suite = estimate_suite(paired, bw, ERR_CFG)
@@ -284,21 +231,32 @@ def test_huge_current_bandwidths_collapse_twostage_to_simple():
         suite[Method.H_SIMPLE].estimate, rel=1e-9)
 
 
-def test_m_hat_with_huge_bandwidth_is_mean():
-    paired = tiny_pair()
-    surface = fit_mu0_surface(paired, BW, EPA, ERR_CFG)
-    tre = paired.current.treated
-    tvals = transform_arm(surface, tre)
-    got = m_hat(tre, surface, 0.7, 1e12, EPA, ERR_CFG)
-    assert got == pytest.approx(float(np.mean(tvals)), rel=1e-9)
-
-
 # ------------------------------------------------------------- edge cases
 
 def test_gold_requires_outcomes():
     blinded = tiny_pair(with_current_y=False)
     with pytest.raises(MissingOutcome):
         delta_gold(blinded.current)
+
+
+def test_simple_form_counts_only_transport_clamps():
+    # the arms' covariates never come within a bandwidth of each other, so
+    # every cross-arm m1/m0 query clamps; the simple contrast uses none of
+    # those smooths, and every transported point has surface mass
+    s_grid, w_grid = np.meshgrid(np.linspace(0.0, 3.0, 13), np.linspace(0.0, 10.0, 41))
+    prior_arm = StudyArm(s=s_grid.ravel(), w=w_grid.ravel(),
+                         y=(s_grid + w_grid).ravel())
+    s = np.linspace(1.0, 2.0, 30)
+    current = TwoArmStudy(treated=StudyArm(s=s, w=np.linspace(0.0, 2.0, 30)),
+                          control=StudyArm(s=s, w=np.linspace(8.0, 10.0, 30)))
+    paired = validate_paired(TwoArmStudy(treated=prior_arm, control=prior_arm),
+                             current)
+    bw = Bandwidths(h0=1.0, h1=1.0, h2=1.0, h3=1.0, h4=1.0)
+    cfg = SmoothingConfig(kernel=EPA, oob_policy=OobPolicy.CLAMP_TO_NEAREST)
+    suite = estimate_suite(paired, bw, cfg)
+    assert suite[Method.H_SIMPLE].n_clamped == 0
+    for method in (Method.H_POOLED, Method.H_TWOSTAGE, Method.H_AUG):
+        assert suite[method].n_clamped == 60
 
 
 def test_fit_requires_prior_outcome():

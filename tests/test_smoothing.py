@@ -14,8 +14,6 @@ from surrtest.smoothing import (
     default_bandwidths,
     kernel_weight,
     nw_curve_many,
-    nw_smooth_1d,
-    nw_smooth_2d,
     nw_surface_many,
     rule_of_thumb_bandwidth,
 )
@@ -145,8 +143,8 @@ def test_nw_1d_hand_fixture():
     Standardized distances (-1/3, 1/3, 1) give weights (2/3, 2/3, 0), so the
     smoother returns (2/3*1)/(4/3) = 0.5.  Confirmed by direct arithmetic.
     """
-    v = nw_smooth_1d([0, 1, 2], [0, 1, 2], 1.5, EPA, 0.5, ERR)
-    assert v == pytest.approx(0.5, abs=1e-9)
+    v, _ = nw_curve_many([0, 1, 2], [0, 1, 2], 1.5, EPA, [0.5], ERR)
+    assert v[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_nw_2d_hand_fixture():
@@ -156,15 +154,15 @@ def test_nw_2d_hand_fixture():
     (1/2*1 + 5/18*2) / (1/2+1/2+5/18) = 19/23.  Confirmed independently by
     hand; 19/23 = 0.82608695...
     """
-    v = nw_smooth_2d([0, 1, 0], [0, 0, 1], [0, 1, 2], 1.5, 1.5, EPA,
-                     0.5, 0.0, ERR)
-    assert v == pytest.approx(19.0 / 23.0, abs=1e-9)
+    v, _ = nw_surface_many([0, 1, 0], [0, 0, 1], [0, 1, 2], 1.5, 1.5, EPA,
+                           [0.5], [0.0], ERR)
+    assert v[0] == pytest.approx(19.0 / 23.0, abs=1e-9)
 
 
 def test_nw_1d_at_data_point_with_tight_kernel():
     # h small enough that only the queried data point carries weight
-    v = nw_smooth_1d([0.0, 1.0, 2.0], [5.0, 7.0, 9.0], 0.4, EPA, 1.0, ERR)
-    assert v == pytest.approx(7.0, abs=1e-12)
+    v, _ = nw_curve_many([0.0, 1.0, 2.0], [5.0, 7.0, 9.0], 0.4, EPA, [1.0], ERR)
+    assert v[0] == pytest.approx(7.0, abs=1e-12)
 
 
 # ---------------------------------------------------------- NW properties
@@ -234,7 +232,7 @@ def test_nw_chunking_consistent():
     ys = rng.normal(0, 1, 60)
     q = rng.uniform(0.5, 9.5, 5000)  # crosses the internal chunk boundary
     many, _ = nw_curve_many(xs, ys, 2.0, EPA, q, ERR)
-    singles = [nw_smooth_1d(xs, ys, 2.0, EPA, float(x), ERR) for x in q[:3]]
+    singles = [nw_curve_many(xs, ys, 2.0, EPA, [x], ERR)[0][0] for x in q[:3]]
     np.testing.assert_allclose(many[:3], singles, rtol=1e-12)
 
 
