@@ -11,6 +11,10 @@ Reports carry the kernel, bandwidths, seed, and input-file hashes so a result
 can always be traced back to its exact inputs.  Report files contain no
 timestamps: identical invocations produce byte-identical files (timing is
 printed to stdout only).
+
+``--config FILE`` reads ``key = value`` lines.  Each key must be a long
+option of the chosen subcommand (dashes or underscores); its value gets the
+same type, arity and choices check as the flag, and explicit flags win.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .data import load_study_csv, validate_paired
-from .errors import DegenerateSpread, SurrtestError, ZeroDenominator
+from .errors import ConfigError, DegenerateSpread, SurrtestError, ZeroDenominator
 from .estimators import Method, estimate_suite, pte_ratio
 from .inference import wald_test
 from .oracles import (
@@ -69,13 +73,7 @@ def _sha256(path) -> str:
 
 
 def _fmt(x, nd=4) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        if np.isnan(x):
-            return "nan"
-        return f"{x:.{nd}f}"
-    return str(x)
+    return "" if x is None else f"{x:.{nd}f}"
 
 
 def _write_outputs(out_dir, report: dict, rows: list, fieldnames: list) -> None:
@@ -108,26 +106,18 @@ def _common_report(args, command: str) -> dict:
     }
 
 
-def _smoothing_config(args, default_oob: str) -> SmoothingConfig:
-    oob = args.oob if args.oob is not None else default_oob
-    args.oob = oob
-    return SmoothingConfig(kernel=KernelKind.parse(args.kernel),
-                           oob_policy=OobPolicy.parse(oob))
-
-
-def _outcome_dict(t) -> dict:
-    return {
-        "method": t.method, "estimate": t.estimate, "se": t.se, "z": t.z,
-        "p_value": t.p_value, "alpha": t.alpha, "reject": t.reject,
-        "ci_lower": t.ci_lower, "ci_upper": t.ci_upper,
-    }
-
-
-def cmd_test(args) -> int:
+def _smoothing_config(args) -> SmoothingConfig:
     # clamp by default: heavy-tailed markers routinely put a few treated
     # points past the prior control support, and an analysis command that
     # aborts on them is useless; the clamp count lands in the diagnostics
-    scfg = _smoothing_config(args, default_oob="clamp")
+    if args.oob is None:
+        args.oob = "clamp"
+    return SmoothingConfig(kernel=KernelKind.parse(args.kernel),
+                           oob_policy=OobPolicy.parse(args.oob))
+
+
+def cmd_test(args) -> int:
+    scfg = _smoothing_config(args)
     prior = load_study_csv(args.prior_csv, label="prior")
     current = load_study_csv(args.current_csv, label="current")
     paired = validate_paired(prior, current)
@@ -137,7 +127,7 @@ def cmd_test(args) -> int:
         bw = default_bandwidths(paired, scfg.kernel)
 
     t0 = time.perf_counter()
-    suite = estimate_suite(paired, bw, scfg, include_gold=True)
+    suite = estimate_suite(paired, bw, scfg)
     elapsed = time.perf_counter() - t0
 
     wanted = ["h_pooled", "p"] + (["h_aug"] if args.aug else [])
@@ -164,15 +154,17 @@ def cmd_test(args) -> int:
         ci = f"[{t.ci_lower:.4f}, {t.ci_upper:.4f}]"
         print(f"{_METHOD_LABEL[name]:<42} {t.estimate:>10.4f} {t.se:>8.4f} "
               f"{t.z:>8.3f} {t.p_value:>10.3e} {ci:>23} {t.reject}")
-        row = _outcome_dict(t)
-        row.update(n1=est.n1, n0=est.n0, n_clamped=est.n_clamped)
-        rows.append(row)
+        rows.append({"method": t.method, "estimate": t.estimate, "se": t.se,
+                     "z": t.z, "p_value": t.p_value, "alpha": t.alpha,
+                     "reject": t.reject, "ci_lower": t.ci_lower,
+                     "ci_upper": t.ci_upper, "n1": est.n1, "n0": est.n0,
+                     "n_clamped": est.n_clamped})
+
+    ratio = None
     if Method.GOLD not in suite:
         print("outcome contrast (gold standard): unavailable, no outcome column "
               "in the current study")
-
-    ratio = None
-    if Method.GOLD in suite:
+    else:
         try:
             ratio = pte_ratio(suite[Method.H_POOLED], suite[Method.GOLD])
             print(f"transported/outcome effect ratio: {ratio:.4f}")
@@ -193,8 +185,7 @@ def cmd_test(args) -> int:
             "clamped_evaluations": {name: suite[Method(name)].n_clamped
                                     for name in wanted},
         },
-        "results": [dict(_outcome_dict(t), n1=e.n1, n0=e.n0, n_clamped=e.n_clamped)
-                    for e, t in (outcomes[n] for n in _METHOD_ORDER if n in outcomes)],
+        "results": rows,
         "pte_ratio": ratio,
         "gold_available": Method.GOLD in suite,
     })
@@ -232,9 +223,7 @@ def simulation_rows(summary) -> list:
 def cmd_simulate(args) -> int:
     if args.setting is None:
         raise SurrtestError("simulate needs --setting (flag or config file)")
-    if args.reps < 1:
-        raise SurrtestError("--reps must be a positive integer")
-    scfg = _smoothing_config(args, default_oob="clamp")
+    scfg = _smoothing_config(args)
     cfg = SimConfig(
         setting=args.setting, n1p=args.n1p, n0p=args.n0p, n1=args.n1, n0=args.n0,
         reps=args.reps, master_seed=args.seed, alpha=args.alpha,
@@ -353,7 +342,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bandwidths(args) -> int:
-    scfg = _smoothing_config(args, default_oob="clamp")
+    scfg = _smoothing_config(args)
     prior = load_study_csv(args.prior_csv, label="prior")
     current = load_study_csv(args.current_csv, label="current")
     paired = validate_paired(prior, current)
@@ -394,55 +383,46 @@ def cmd_bandwidths(args) -> int:
     return 0
 
 
-# Option dests a config file may set, with their value parsers.  Positionals
-# stay command-line only.
-_CONFIG_KEYS = {
-    "kernel": str, "alpha": float, "seed": int, "threads": int, "oob": str,
-    "out": str, "aug": None, "setting": int, "reps": int, "n1p": int,
-    "n0p": int, "n1": int, "n0": int, "fix_prior": None, "truth_draws": int,
-    "p_female": float, "delta0": float, "mc": int,
-    "bandwidths": lambda v: [float(x) for x in v.replace(",", " ").split()],
-}
-
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 
 
-def load_config_file(path) -> dict:
-    """Read `key = value` lines (# comments allowed) into parsed option values.
+def _config_tokens(sub: argparse.ArgumentParser, path) -> list:
+    """The `key = value` lines (# comments allowed) of a config file as tokens
+    of the subcommand parser `sub`.
 
-    Keys mirror the long option names (dashes or underscores).  Values are
-    converted with the same types the flags use; explicit command-line flags
-    always override config values.
+    A key must name a long option of `sub` (dashes or underscores) and give
+    it as many values as the option takes; the parser checks the values.  A
+    switch takes true/yes/1, or false/no/0 for the opposite switch of its
+    dest, if any.
     """
-    values = {}
+    tokens = []
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise SurrtestError(
-                    f"{path} line {line_no}: expected key = value, got {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            val = val.strip()
-            if key not in _CONFIG_KEYS:
-                raise SurrtestError(
-                    f"{path} line {line_no}: unknown option {key!r}")
-            conv = _CONFIG_KEYS[key]
-            if conv is None:  # boolean switch
-                if val.lower() not in _BOOL_WORDS:
-                    raise SurrtestError(
-                        f"{path} line {line_no}: {key} wants true/false, got {val!r}")
-                values[key] = _BOOL_WORDS[val.lower()]
-            else:
-                try:
-                    values[key] = conv(val)
-                except ValueError:
-                    raise SurrtestError(
-                        f"{path} line {line_no}: bad value for {key}: {val!r}") from None
-    return values
+            where = f"{path} line {line_no}"
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ConfigError(f"{where}: expected key = value, got {line!r}")
+            action = sub._option_string_actions.get("--" + key.replace("_", "-"))
+            if action is None or action.dest in ("help", "config"):
+                raise ConfigError(f"{where}: {key!r} is not an option of {sub.prog}")
+            if action.nargs == 0:
+                on = _BOOL_WORDS.get(val.lower())
+                if on is None:
+                    raise ConfigError(f"{where}: {key} wants true/false, got {val!r}")
+                tokens += [a.option_strings[0] for a in sub._actions
+                           if a.dest == action.dest and a.nargs == 0 and (a is action) == on]
+                continue
+            vals = val.replace(",", " ").split() if action.nargs else [val]
+            if action.nargs and len(vals) != action.nargs:
+                raise ConfigError(f"{where}: {key} takes {action.nargs} values, "
+                                  f"got {len(vals)}")
+            opt = action.option_strings[0]  # --opt=value: "-x" stays a value
+            tokens += [f"{opt}={val}"] if action.nargs is None else [opt, *vals]
+    return tokens
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -460,8 +440,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # abbreviations stay off so config merging can tell exactly which
-    # options were spelled out on the command line
     parser = argparse.ArgumentParser(
         prog="surrtest", allow_abbrev=False,
         description="Treatment-effect testing on transported surrogate markers")
@@ -520,30 +498,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _explicit_dests(argv) -> set:
-    """Option dests spelled out on the command line (those beat the config)."""
-    seen = set()
-    for tok in argv:
-        if not tok.startswith("--"):
-            continue
-        name = tok[2:].split("=", 1)[0].replace("-", "_")
-        if name == "no_fix_prior":
-            name = "fix_prior"
-        seen.add(name)
-    return seen
+def parse_args(argv) -> argparse.Namespace:
+    """Parse `argv`, reading a --config file as the subcommand's own tokens.
+
+    The config tokens go in front of the typed ones, so an explicit flag
+    wins by argparse's last-one-wins.  Errors in the config file raise
+    ConfigError; errors in typed flags exit 2 as argparse does.
+    """
+    argv = list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    (subparsers,) = (a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices[args.subcommand]
+    tokens = _config_tokens(sub, args.config)
+
+    def config_error(message):  # the typed tokens parsed alone, so it is the file's
+        raise ConfigError(f"{args.config}: {message}")
+
+    sub.error = config_error
+    at = argv.index(args.subcommand) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            explicit = _explicit_dests(argv)
-            for key, value in load_config_file(args.config).items():
-                if key not in explicit:
-                    setattr(args, key, value)
+        args = parse_args(argv)
         return args.func(args)
     except SurrtestError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

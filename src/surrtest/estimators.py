@@ -268,8 +268,7 @@ def pte_ratio(delta_h: EstimateWithSE, gold: EstimateWithSE) -> float:
     return delta_h.estimate / gold.estimate
 
 
-def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig,
-                   include_gold: bool = True) -> dict:
+def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) -> dict:
     """All estimators off one shared set of intermediates.
 
     Returns a dict keyed by Method.  The heavy pieces (surface transforms,
@@ -278,7 +277,7 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig,
     difference of arm means of transported outcomes; twostage contrasts each
     arm's smoothed mean at its own covariate points; the augmented SE uses
     the pooled estimate as its contrast center.  The gold row appears only
-    when requested and both current arms carry outcomes.
+    when both current arms carry outcomes.
     """
     surface = fit_mu0_surface(paired, bw, cfg.kernel, cfg)
     curve = fit_mu0_curve(paired, bw, cfg.kernel, cfg)
@@ -303,6 +302,6 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig,
         Method.P: delta_p(paired, curve, cfg),
     }
     cur = paired.current
-    if include_gold and cur.treated.has_outcome and cur.control.has_outcome:
+    if cur.treated.has_outcome and cur.control.has_outcome:
         out[Method.GOLD] = delta_gold(cur)
     return out

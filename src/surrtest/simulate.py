@@ -245,20 +245,18 @@ class SimConfig:
     truth_mc_draws: int = 10**6
     kernel: KernelKind = KernelKind.EPANECHNIKOV
     oob_policy: OobPolicy = OobPolicy.CLAMP_TO_NEAREST
-    denom_floor: float = 1e-10
     threads: int = 1
 
     def __post_init__(self):
         _law(self.setting)
-        for name in ("n1p", "n0p", "n1", "n0", "reps"):
+        for name in ("n1p", "n0p", "n1", "n0", "reps", "truth_mc_draws", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
 
     def smoothing(self) -> SmoothingConfig:
-        return SmoothingConfig(kernel=self.kernel, denom_floor=self.denom_floor,
-                               oob_policy=self.oob_policy)
+        return SmoothingConfig(kernel=self.kernel, oob_policy=self.oob_policy)
 
 
 @dataclass(frozen=True)
@@ -322,7 +320,7 @@ def _one_replication(cfg: SimConfig, rep: int, prior: Optional[TwoArmStudy],
                                cfg.master_seed, rep=rep)
     paired = validate_paired(prior, current)
     bw = default_bandwidths(paired, scfg.kernel)
-    suite = estimate_suite(paired, bw, scfg, include_gold=True)
+    suite = estimate_suite(paired, bw, scfg)
     return suite, bw
 
 

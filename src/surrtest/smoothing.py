@@ -35,6 +35,10 @@ __all__ = [
 # roughly _CHUNK * n_data doubles per intermediate array.
 _CHUNK = 4096
 
+# Minimum admissible summed kernel mass of a query (raw kernel sums, no 1/h);
+# below it the out-of-bounds policy applies.
+_DENOM_FLOOR = 1e-10
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -94,19 +98,10 @@ class Bandwidths:
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Evaluation policy shared by all smoother calls.
-
-    `denom_floor` is the minimum admissible summed kernel mass (in K_h units,
-    the 1/h normalization included).
-    """
+    """Evaluation policy shared by all smoother calls."""
 
     kernel: KernelKind = KernelKind.EPANECHNIKOV
-    denom_floor: float = 1e-10
     oob_policy: OobPolicy = OobPolicy.ERROR
-
-    def __post_init__(self):
-        if not (math.isfinite(self.denom_floor) and self.denom_floor > 0):
-            raise ValueError(f"denom_floor must be positive, got {self.denom_floor!r}")
 
 
 def _profile(kind: KernelKind, u: np.ndarray) -> np.ndarray:
@@ -192,23 +187,14 @@ def _check_bandwidth(h: float, name: str) -> None:
         raise NonPositiveBandwidth(f"bandwidth {name} must be positive and finite, got {h!r}")
 
 
-def _resolve_low_mass(denom, queries, data, cfg, recompute):
-    """Apply the out-of-bounds policy to queries whose kernel mass is below floor.
+def _clamp_to_nearest(bad, queries, data, recompute) -> None:
+    """Move the `bad` queries onto their nearest data point and re-evaluate them.
 
     `queries` is a list of query-coordinate arrays (one per dimension, copies),
     `data` the matching (data coordinate, bandwidth) pairs, and
     `recompute(idx)` re-evaluates numerator/denominator rows for the given
     query indices after the coordinates have been clamped in place.
-    Returns the clamped-query count.
     """
-    bad = np.flatnonzero(denom < cfg.denom_floor)
-    if bad.size == 0:
-        return 0
-    if cfg.oob_policy is OobPolicy.ERROR:
-        raise OutOfSupport(
-            f"{bad.size} query point(s) have kernel mass below "
-            f"{cfg.denom_floor}; nearest-point clamping is disabled",
-            indices=bad.copy())
     # Nearest observed point in bandwidth-scaled coordinates.
     data_coords = [(x / h, h) for x, h in data]
     dist2 = np.zeros((bad.size, data_coords[0][0].size))
@@ -218,12 +204,6 @@ def _resolve_low_mass(denom, queries, data, cfg, recompute):
     for (data_scaled, h), q in zip(data_coords, queries):
         q[bad] = data_scaled[nearest] * h
     recompute(bad)
-    if np.any(denom[bad] < cfg.denom_floor):
-        still = bad[denom[bad] < cfg.denom_floor]
-        raise OutOfSupport(
-            "kernel mass below floor even at the nearest data point "
-            "(bandwidths too large for the floor?)", indices=still)
-    return int(bad.size)
 
 
 def _nw_product(data, ys, queries, kernel: KernelKind,
@@ -232,10 +212,12 @@ def _nw_product(data, ys, queries, kernel: KernelKind,
 
     `data` holds one (data coordinate, bandwidth) pair per dimension and
     `queries` the matching query arrays.  Queries are evaluated in blocks of
-    _CHUNK; returns (values, clamped-query count).
+    _CHUNK; returns (values, clamped-query count).  Under the ERROR policy
+    every block is checked before OutOfSupport names all offending queries.
     """
     out = np.empty_like(queries[0])
     clamped = 0
+    offenders = []  # global indices of low-mass queries, ERROR policy
     for lo in range(0, out.size, _CHUNK):
         hi = min(lo + _CHUNK, out.size)
         q = [qd[lo:hi].copy() for qd in queries]
@@ -253,8 +235,24 @@ def _nw_product(data, ys, queries, kernel: KernelKind,
             den[idx] = wts.sum(axis=1)
 
         fill(slice(None))
-        clamped += _resolve_low_mass(den, q, data, cfg, fill)
+        bad = np.flatnonzero(den < _DENOM_FLOOR)
+        if bad.size and cfg.oob_policy is OobPolicy.ERROR:
+            offenders.append(bad + lo)
+            continue
+        if bad.size:
+            _clamp_to_nearest(bad, q, data, fill)
+            still = bad[den[bad] < _DENOM_FLOOR]
+            if still.size:
+                raise OutOfSupport(
+                    "kernel mass below floor even at the nearest data point "
+                    "(bandwidths too large for the floor?)", indices=still + lo)
+            clamped += int(bad.size)
         out[lo:hi] = num / den
+    if offenders:
+        bad = np.concatenate(offenders)
+        raise OutOfSupport(
+            f"{bad.size} query point(s) have kernel mass below "
+            f"{_DENOM_FLOOR}; nearest-point clamping is disabled", indices=bad)
     return out, clamped
 
 
@@ -264,7 +262,7 @@ def nw_curve_many(xs, ys, h: float, kernel: KernelKind, x0s,
 
     Returns (values at each x0, number of queries clamped to the nearest
     data point).  Raises OutOfSupport under the ERROR policy when any query
-    has kernel mass below cfg.denom_floor.
+    has kernel mass below the floor.
     """
     _check_bandwidth(h, "h")
     xs = np.asarray(xs, dtype=float)

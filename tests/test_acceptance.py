@@ -241,7 +241,7 @@ def test_c6_equivalences_over_100_seeds():
             generate_setting(5, "prior", 1000, 800, master_seed=seed),
             generate_setting(5, "current", 300, 300, master_seed=seed))
         bw = default_bandwidths(paired, cfg.kernel)
-        suite = estimate_suite(paired, bw, cfg, include_gold=False)
+        suite = estimate_suite(paired, bw, cfg)
         pooled = suite[Method.H_POOLED]
         aug = suite[Method.H_AUG]
         if abs(aug.estimate - pooled.estimate) < 0.5 * pooled.se:

@@ -5,9 +5,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from surrtest.cli import load_config_file, main
+from surrtest.cli import main, parse_args
 from surrtest.data import StudyArm, TwoArmStudy, load_study_csv, validate_paired, write_study_csv
-from surrtest.errors import SurrtestError
+from surrtest.errors import ConfigError
 from surrtest.estimators import Method, estimate_suite
 from surrtest.inference import wald_test
 from surrtest.simulate import generate_setting
@@ -318,29 +318,71 @@ def test_config_file_can_supply_setting(tmp_path, capsys):
     assert report["config"]["reps"] == 2
 
 
-def test_config_file_rejects_unknown_key(tmp_path, capsys):
+def test_config_file_matches_flags_byte_for_byte(csv_pair, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 1\n")
-    code, _, err = run_cli(["simulate", "--setting", "7", "--config", str(cfg),
-                            "--out", str(tmp_path / "o")], capsys)
+    cfg.write_text("alpha = 0.01\nkernel = gaussian\naug = yes\n")
+    inputs = [str(csv_pair / "prior.csv"), str(csv_pair / "current.csv")]
+    via_config, via_flags = tmp_path / "c", tmp_path / "f"
+    assert run_cli(["test", *inputs, "--config", str(cfg),
+                    "--out", str(via_config)], capsys)[0] == 0
+    assert run_cli(["test", *inputs, "--alpha", "0.01", "--kernel", "gaussian",
+                    "--aug", "--out", str(via_flags)], capsys)[0] == 0
+    for name in ("report.json", "summary.csv"):
+        assert (via_config / name).read_bytes() == (via_flags / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, line, key", [
+    (["simulate", "--setting", "7"], "bogus = 1", "bogus"),
+    (["bandwidths", "{prior}", "{current}"], "threads = 4", "threads"),
+    (["simulate", "--setting", "7"], "bandwidths = 1 1 1 1 1", "bandwidths"),
+    (["test", "{prior}", "{current}"], "bandwidths = 1 2 3", "bandwidths"),
+], ids=["bogus", "threads-to-bandwidths", "bandwidths-to-simulate",
+        "bandwidths-arity"])
+def test_config_file_rejects_unknown_key(csv_pair, tmp_path, capsys,
+                                         command, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# run settings\n{line}\n")
+    argv = [a.format(prior=csv_pair / "prior.csv", current=csv_pair / "current.csv")
+            for a in command]
+    out = tmp_path / "o"
+    code, _, err = run_cli(argv + ["--config", str(cfg), "--out", str(out)], capsys)
     assert code == 1
-    assert "bogus" in err
+    assert f"{cfg} line 2: " in err and key in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_load_config_file_parses_and_validates(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("alpha = 0.1  # trailing comment\n\nseed=4\naug = yes\n"
                    "bandwidths = 1, 2 3 4 5\n")
-    values = load_config_file(cfg)
-    assert values == {"alpha": 0.1, "seed": 4, "aug": True,
-                      "bandwidths": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    args = parse_args(["test", "p.csv", "c.csv", "--config", str(cfg)])
+    assert (args.alpha, args.seed, args.aug, args.bandwidths) == \
+        (0.1, 4, True, [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert (args.prior_csv, args.current_csv) == ("p.csv", "c.csv")
+    # switches take true/false words; false on --fix-prior is --no-fix-prior
+    cfg.write_text("fix_prior = no\n")
+    assert parse_args(["simulate", "--config", str(cfg)]).fix_prior is False
+    assert parse_args(["simulate", "--config", str(cfg),
+                       "--fix-prior"]).fix_prior is True
+    cfg.write_text("no-fix-prior = 1\n")
+    assert parse_args(["simulate", "--config", str(cfg)]).fix_prior is False
     bad = tmp_path / "b.cfg"
-    bad.write_text("alpha ten\n")
-    with pytest.raises(SurrtestError, match="key = value"):
-        load_config_file(bad)
-    bad.write_text("alpha = ten\n")
-    with pytest.raises(SurrtestError, match="bad value"):
-        load_config_file(bad)
-    bad.write_text("aug = maybe\n")
-    with pytest.raises(SurrtestError, match="true/false"):
-        load_config_file(bad)
+    for text, message in (("alpha ten", "key = value"),
+                          ("alpha = ten", "--alpha: invalid float value"),
+                          ("aug = maybe", "true/false"),
+                          ("kernel = box", "--kernel: invalid choice"),
+                          ("bandwidths = -1e-3 1 1 1 1", "--bandwidths: expected 5"),
+                          ("prior_csv = x.csv", "not an option"),
+                          ("config = other.cfg", "not an option")):
+        bad.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=message):
+            parse_args(["test", "p.csv", "c.csv", "--config", str(bad)])
+
+
+def test_typed_flag_errors_keep_argparse_exit(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.1\n")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["test", "p.csv", "c.csv", "--config", str(cfg), "--alpha", "ten"])
+    assert exc_info.value.code == 2

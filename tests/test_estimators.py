@@ -182,7 +182,7 @@ def test_constant_surface_gives_zero():
                          y=[4.2, 4.2, 4.2]))
     current = tiny_pair().current
     paired = validate_paired(prior, current)
-    suite = estimate_suite(paired, BW, ERR_CFG, include_gold=False)
+    suite = estimate_suite(paired, BW, ERR_CFG)
     for method in (Method.H_SIMPLE, Method.H_TWOSTAGE, Method.H_POOLED,
                    Method.H_AUG, Method.P):
         assert suite[method].estimate == pytest.approx(0.0, abs=1e-12)
@@ -197,8 +197,8 @@ def test_outcome_scale_equivariance():
         treated=paired.prior.treated,
         control=StudyArm(s=pc.s, w=pc.w, y=2.0 * pc.y + 3.0))
     paired2 = validate_paired(scaled_prior, paired.current)
-    s1 = estimate_suite(paired, BW, ERR_CFG, include_gold=False)
-    s2 = estimate_suite(paired2, BW, ERR_CFG, include_gold=False)
+    s1 = estimate_suite(paired, BW, ERR_CFG)
+    s2 = estimate_suite(paired2, BW, ERR_CFG)
     for method in (Method.H_SIMPLE, Method.H_TWOSTAGE, Method.H_POOLED,
                    Method.H_AUG, Method.P):
         assert s2[method].estimate == pytest.approx(

@@ -139,6 +139,12 @@ def test_config_validation():
         SimConfig(setting=1, n1=-5)
     with pytest.raises(ValueError):
         SimConfig(setting=1, alpha=1.5)
+    with pytest.raises(ValueError, match="threads"):
+        SimConfig(setting=1, threads=-3)
+    with pytest.raises(ValueError, match="threads"):
+        SimConfig(setting=1, threads=0)
+    with pytest.raises(ValueError, match="truth_mc_draws"):
+        SimConfig(setting=1, truth_mc_draws=0)
 
 
 def test_summary_shape():

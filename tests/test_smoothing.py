@@ -128,13 +128,6 @@ def test_bandwidths_validation():
         Bandwidths(1.0, 1.0, 1.0, 1.0, math.inf)
 
 
-def test_smoothing_config_validation():
-    with pytest.raises(ValueError):
-        SmoothingConfig(denom_floor=0.0)
-    with pytest.raises(ValueError):
-        SmoothingConfig(denom_floor=-1e-3)
-
-
 # ------------------------------------------------- hand-computed fixtures
 
 def test_nw_1d_hand_fixture():
@@ -256,6 +249,17 @@ def test_error_policy_raises_with_indices():
     idx = exc_info.value.indices
     assert idx is not None
     assert sorted(int(i) for i in idx) == [1, 2]
+
+
+@pytest.mark.parametrize("offenders", [[10, 5000, 5001], [5000, 5001]])
+def test_error_policy_indices_span_query_blocks(offenders):
+    # 6000 queries take two 4096-query blocks; the indices and the count in
+    # the message cover every block, not just the first offending one
+    x0s = np.linspace(0.0, 2.0, 6000)
+    x0s[offenders] = 50.0
+    with pytest.raises(OutOfSupport, match=f"^{len(offenders)} query point") as exc_info:
+        nw_curve_many([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], 0.5, EPA, x0s, ERR)
+    assert [int(i) for i in exc_info.value.indices] == offenders
 
 
 def test_clamp_policy_uses_nearest_point_1d():
