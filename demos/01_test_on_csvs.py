@@ -13,24 +13,24 @@ from surrtest.inference import wald_test
 from surrtest.simulate import generate_setting
 from surrtest.smoothing import KernelKind, OobPolicy, SmoothingConfig, default_bandwidths
 
-workdir = Path(tempfile.mkdtemp(prefix="surrtest-demo-"))
-
 # --- fabricate a study pair from the built-in generator ------------------
 # prior: both arms carry the outcome. current: outcome stripped (blinded).
 prior = generate_setting(1, "prior", n1=1000, n0=800, master_seed=42)
 current_full = generate_setting(1, "current", n1=300, n0=300, master_seed=42)
 current = TwoArmStudy(
     treated=StudyArm(s=current_full.treated.s, w=current_full.treated.w, y=None),
-    control=StudyArm(s=current_full.control.s, w=current_full.control.w, y=None),
-    label="current")
+    control=StudyArm(s=current_full.control.s, w=current_full.control.w, y=None))
 
-write_study_csv(prior, workdir / "prior.csv")
-write_study_csv(current, workdir / "current.csv")
-print(f"wrote {workdir}/prior.csv and current.csv")
+# the CSV files live only as long as this block
+with tempfile.TemporaryDirectory(prefix="surrtest-demo-") as tmp:
+    workdir = Path(tmp)
+    write_study_csv(prior, workdir / "prior.csv")
+    write_study_csv(current, workdir / "current.csv")
+    print(f"wrote {workdir}/prior.csv and current.csv")
 
-# --- load back and validate ----------------------------------------------
-prior = load_study_csv(workdir / "prior.csv", label="prior")
-current = load_study_csv(workdir / "current.csv", label="current")
+    # --- load back and validate ------------------------------------------
+    prior = load_study_csv(workdir / "prior.csv")
+    current = load_study_csv(workdir / "current.csv")
 paired = validate_paired(prior, current)
 print(f"support overlap: {paired.support_overlap:.4f}")
 for msg in paired.warnings:

@@ -38,12 +38,8 @@ from .errors import (
 from .estimators import (
     EstimateWithSE,
     Method,
-    Mu0Curve,
     Mu0Surface,
-    delta_gold,
-    delta_p,
     estimate_suite,
-    fit_mu0_curve,
     fit_mu0_surface,
     pte_ratio,
 )
@@ -72,7 +68,6 @@ from .smoothing import (
     OobPolicy,
     SmoothingConfig,
     default_bandwidths,
-    kernel_weight,
     rule_of_thumb_bandwidth,
 )
 

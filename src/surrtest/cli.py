@@ -76,19 +76,19 @@ def _fmt(x, nd=4) -> str:
     return "" if x is None else f"{x:.{nd}f}"
 
 
-def _write_outputs(out_dir, report: dict, rows: list, fieldnames: list) -> None:
+def _write_outputs(out_dir, report: dict, rows: list) -> None:
+    """Write report.json and summary.csv; the CSV columns are the first row's keys."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: ("" if row.get(k) is None else repr(row[k])
-                                 if isinstance(row[k], float) else row[k])
-                             for k in fieldnames})
+            writer.writerow({k: "" if v is None else repr(v) if isinstance(v, float) else v
+                             for k, v in row.items()})
     print(f"wrote {out / 'report.json'} and {out / 'summary.csv'}")
 
 
@@ -112,15 +112,24 @@ def _smoothing_config(args) -> SmoothingConfig:
     # aborts on them is useless; the clamp count lands in the diagnostics
     if args.oob is None:
         args.oob = "clamp"
-    return SmoothingConfig(kernel=KernelKind.parse(args.kernel),
-                           oob_policy=OobPolicy.parse(args.oob))
+    return SmoothingConfig(kernel=KernelKind(args.kernel), oob_policy=OobPolicy(args.oob))
+
+
+def _load_pair(args):
+    """The validated prior/current pair of `args`, and the report's inputs
+    entry with each file's path and SHA-256."""
+    paired = validate_paired(load_study_csv(args.prior_csv),
+                             load_study_csv(args.current_csv))
+    inputs = {key: {"path": str(path), "sha256": _sha256(path)}
+              for key, path in (("prior_csv", args.prior_csv),
+                                ("current_csv", args.current_csv))}
+    return paired, inputs
 
 
 def cmd_test(args) -> int:
     scfg = _smoothing_config(args)
-    prior = load_study_csv(args.prior_csv, label="prior")
-    current = load_study_csv(args.current_csv, label="current")
-    paired = validate_paired(prior, current)
+    paired, inputs = _load_pair(args)
+    prior, current = paired.prior, paired.current
     if args.bandwidths is not None:
         bw = Bandwidths(*args.bandwidths)
     else:
@@ -174,10 +183,7 @@ def cmd_test(args) -> int:
 
     report = _common_report(args, "test")
     report.update({
-        "inputs": {
-            "prior_csv": {"path": str(args.prior_csv), "sha256": _sha256(args.prior_csv)},
-            "current_csv": {"path": str(args.current_csv), "sha256": _sha256(args.current_csv)},
-        },
+        "inputs": inputs,
         "bandwidths": {k: getattr(bw, k) for k in ("h0", "h1", "h2", "h3", "h4")},
         "diagnostics": {
             "support_overlap": paired.support_overlap,
@@ -189,16 +195,8 @@ def cmd_test(args) -> int:
         "pte_ratio": ratio,
         "gold_available": Method.GOLD in suite,
     })
-    fieldnames = ["method", "estimate", "se", "z", "p_value", "alpha", "reject",
-                  "ci_lower", "ci_upper", "n1", "n0", "n_clamped"]
-    _write_outputs(args.out, report, rows, fieldnames)
+    _write_outputs(args.out, report, rows)
     return 0
-
-
-_SIM_FIELDS = ["setting", "method", "mean_estimate", "bias", "bias_tilde", "ese",
-               "ase", "coverage", "coverage_tilde", "effect_size", "power",
-               "truth_delta", "truth_delta_h", "truth_tilde_delta_h",
-               "se_ratio_pooled_simple", "reps", "n_failed"]
 
 
 def simulation_rows(summary) -> list:
@@ -276,7 +274,7 @@ def cmd_simulate(args) -> int:
         "n_failed": summary.n_failed,
         "clamped_evaluations": summary.clamped_evals,
     })
-    _write_outputs(args.out, report, simulation_rows(summary), _SIM_FIELDS)
+    _write_outputs(args.out, report, simulation_rows(summary))
     return 0
 
 
@@ -337,15 +335,13 @@ def cmd_oracle(args) -> int:
             "analytic": vars(triple), "delta_p_linearized": linearized,
             "mc": vars(mc), "agreement": agree, "verdict": verdict,
         })
-    _write_outputs(args.out, report, rows, ["quantity", "value", "se", "source"])
+    _write_outputs(args.out, report, rows)
     return 0
 
 
 def cmd_bandwidths(args) -> int:
-    scfg = _smoothing_config(args)
-    prior = load_study_csv(args.prior_csv, label="prior")
-    current = load_study_csv(args.current_csv, label="current")
-    paired = validate_paired(prior, current)
+    _smoothing_config(args)  # checks the options and fills in the oob default
+    paired, inputs = _load_pair(args)
 
     rows = []
     print(f"{'name':<5} {'value':>10} {'variable':<18} {'sd':>9} {'IQR':>9} "
@@ -353,33 +349,28 @@ def cmd_bandwidths(args) -> int:
     for rule in BANDWIDTH_RECIPE:
         arm = rule.arm_of(paired)
         values = getattr(arm, rule.variable)
-        label = f"{rule.study} {rule.arm} {rule.variable}"
+        variable = f"{rule.study} {rule.arm} {rule.variable}"
         sd = float(np.std(values, ddof=1))
         q25, q75 = np.quantile(values, [0.25, 0.75])
         iqr = float(q75 - q25)
         try:
             h = rule.resolve(arm)
         except DegenerateSpread as exc:
-            raise DegenerateSpread(f"{rule.name} ({label}): {exc}") from None
-        print(f"{rule.name:<5} {h:>10.5f} {label:<18} {sd:>9.4f} {iqr:>9.4f} "
+            raise DegenerateSpread(f"{rule.name} ({variable}): {exc}") from None
+        print(f"{rule.name:<5} {h:>10.5f} {variable:<18} {sd:>9.4f} {iqr:>9.4f} "
               f"{arm.n:>6} {rule.exponent:>9} {rule.multiplier:>10}")
-        rows.append({"name": rule.name, "value": h, "variable": label,
+        rows.append({"name": rule.name, "value": h, "variable": variable,
                      "sd": sd, "iqr": iqr, "n": arm.n, "exponent": rule.exponent,
                      "multiplier": rule.multiplier})
 
     report = _common_report(args, "bandwidths")
     report.update({
-        "inputs": {
-            "prior_csv": {"path": str(args.prior_csv), "sha256": _sha256(args.prior_csv)},
-            "current_csv": {"path": str(args.current_csv), "sha256": _sha256(args.current_csv)},
-        },
+        "inputs": inputs,
         "bandwidths": {r["name"]: r["value"] for r in rows},
         "statistics": rows,
         "support_overlap": paired.support_overlap,
     })
-    _write_outputs(args.out, report,
-                   rows, ["name", "value", "variable", "sd", "iqr", "n",
-                          "exponent", "multiplier"])
+    _write_outputs(args.out, report, rows)
     return 0
 
 

@@ -82,7 +82,6 @@ class TwoArmStudy:
 
     treated: StudyArm
     control: StudyArm
-    label: str = ""
 
     @property
     def n(self) -> int:
@@ -115,7 +114,7 @@ def _parse_float(cell: str, column: str, line_no: int) -> float:
     return v
 
 
-def load_study_csv(path, schema: Optional[dict] = None, label: str = "") -> TwoArmStudy:
+def load_study_csv(path, schema: Optional[dict] = None) -> TwoArmStudy:
     """Read one study CSV and partition rows by treatment indicator.
 
     `schema` maps the canonical column names (z, s, w, y) to the names used
@@ -169,7 +168,7 @@ def load_study_csv(path, schema: Optional[dict] = None, label: str = "") -> TwoA
         else:
             y = y_cells
         arms[g] = StudyArm(s=rows[g]["s"], w=rows[g]["w"], y=y)
-    return TwoArmStudy(treated=arms[1], control=arms[0], label=label)
+    return TwoArmStudy(treated=arms[1], control=arms[0])
 
 
 def write_study_csv(study: TwoArmStudy, path) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PairedStudies, TwoArmStudy
+from .data import PairedStudies
 from .errors import MissingOutcome, ZeroDenominator
 from .smoothing import (
     Bandwidths,
@@ -37,11 +37,7 @@ __all__ = [
     "Method",
     "EstimateWithSE",
     "Mu0Surface",
-    "Mu0Curve",
     "fit_mu0_surface",
-    "fit_mu0_curve",
-    "delta_p",
-    "delta_gold",
     "pte_ratio",
     "estimate_suite",
 ]
@@ -95,20 +91,6 @@ class Mu0Surface:
                                self.kernel, s0s, w0s, self.cfg)
 
 
-@dataclass(frozen=True)
-class Mu0Curve:
-    """Conditional outcome mean given the surrogate alone, fit on prior control data."""
-
-    s: np.ndarray
-    y: np.ndarray
-    h: float
-    kernel: KernelKind
-    cfg: SmoothingConfig
-
-    def evaluate_many(self, s0s):
-        return nw_curve_many(self.s, self.y, self.h, self.kernel, s0s, self.cfg)
-
-
 def fit_mu0_surface(paired: PairedStudies, bw: Bandwidths,
                     kernel: KernelKind, cfg: SmoothingConfig) -> Mu0Surface:
     arm = paired.prior.control
@@ -116,14 +98,6 @@ def fit_mu0_surface(paired: PairedStudies, bw: Bandwidths,
         raise MissingOutcome("prior control arm has no outcomes; cannot fit surface")
     return Mu0Surface(s=arm.s, w=arm.w, y=arm.y,
                       h_s=bw.h2, h_w=bw.h3, kernel=kernel, cfg=cfg)
-
-
-def fit_mu0_curve(paired: PairedStudies, bw: Bandwidths,
-                  kernel: KernelKind, cfg: SmoothingConfig) -> Mu0Curve:
-    arm = paired.prior.control
-    if not arm.has_outcome:
-        raise MissingOutcome("prior control arm has no outcomes; cannot fit curve")
-    return Mu0Curve(s=arm.s, y=arm.y, h=bw.h4, kernel=kernel, cfg=cfg)
 
 
 def _two_sample_se(a: np.ndarray, b: np.ndarray) -> float:
@@ -236,31 +210,6 @@ def _aug_from_parts(p: _HParts) -> float:
     return float((p.s1t - mopt_w1).mean() - (p.s0t - mopt_w0).mean())
 
 
-def delta_p(paired: PairedStudies, curve: Mu0Curve,
-            cfg: SmoothingConfig) -> EstimateWithSE:
-    """Covariate-ignoring estimator: arm contrast of 1-D transported surrogates."""
-    tre = paired.current.treated
-    ctl = paired.current.control
-    y1t, c1 = curve.evaluate_many(tre.s)
-    y0t, c0 = curve.evaluate_many(ctl.s)
-    return EstimateWithSE(
-        estimate=float(y1t.mean() - y0t.mean()),
-        se=_two_sample_se(y1t, y0t),
-        method=Method.P, n1=tre.n, n0=ctl.n, n_clamped=c1 + c0)
-
-
-def delta_gold(current: TwoArmStudy) -> EstimateWithSE:
-    """Difference of observed outcome means with the unpooled two-sample SE."""
-    if not (current.treated.has_outcome and current.control.has_outcome):
-        raise MissingOutcome("gold-standard contrast needs outcomes in both arms")
-    y1 = current.treated.y
-    y0 = current.control.y
-    return EstimateWithSE(
-        estimate=float(y1.mean() - y0.mean()),
-        se=_two_sample_se(y1, y0),
-        method=Method.GOLD, n1=current.treated.n, n0=current.control.n)
-
-
 def pte_ratio(delta_h: EstimateWithSE, gold: EstimateWithSE) -> float:
     """Fraction of the outcome-scale effect captured on the transported scale."""
     if gold.estimate == 0.0:
@@ -280,7 +229,6 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) 
     when both current arms carry outcomes.
     """
     surface = fit_mu0_surface(paired, bw, cfg.kernel, cfg)
-    curve = fit_mu0_curve(paired, bw, cfg.kernel, cfg)
     p = _compute_h_parts(paired, surface, bw, cfg)
     n1, n0 = p.n1, p.n0
 
@@ -288,6 +236,12 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) 
     simple = float(p.s1t.mean() - p.s0t.mean())
     twostage = float(p.m1_w1.mean() - p.m0_w0.mean())
     aug = _aug_from_parts(p)
+
+    # covariate-ignoring: the arms' surrogates carried through the 1-D curve
+    tre, ctl = paired.current.treated, paired.current.control
+    pc = paired.prior.control
+    y1t, c1 = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, tre.s, cfg)
+    y0t, c0 = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, ctl.s, cfg)
 
     out = {
         Method.H_POOLED: EstimateWithSE(pooled, _sigma_h_from_parts(p, pooled),
@@ -299,9 +253,11 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) 
                                           Method.H_TWOSTAGE, n1, n0, p.n_clamped),
         Method.H_AUG: EstimateWithSE(aug, _sigma_aug_from_parts(p, pooled),
                                      Method.H_AUG, n1, n0, p.n_clamped),
-        Method.P: delta_p(paired, curve, cfg),
+        Method.P: EstimateWithSE(float(y1t.mean() - y0t.mean()),
+                                 _two_sample_se(y1t, y0t), Method.P, n1, n0, c1 + c0),
     }
-    cur = paired.current
-    if cur.treated.has_outcome and cur.control.has_outcome:
-        out[Method.GOLD] = delta_gold(cur)
+    if tre.has_outcome and ctl.has_outcome:
+        out[Method.GOLD] = EstimateWithSE(float(tre.y.mean() - ctl.y.mean()),
+                                          _two_sample_se(tre.y, ctl.y),
+                                          Method.GOLD, n1, n0)
     return out

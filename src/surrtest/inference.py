@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from scipy.special import ndtr, ndtri
 
-from .errors import ZeroSE
+from .errors import ConfigError, ZeroSE
 
 __all__ = ["TestOutcome", "wald_test", "normal_cdf", "normal_quantile"]
 
@@ -57,7 +57,7 @@ def wald_test(e, alpha: float = 0.05, method: str = None) -> TestOutcome:
     .method, used as the default tag).
     """
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha!r}")
     est = float(e.estimate)
     se = float(e.se)
     if not (math.isfinite(se) and se > 0.0):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import NonPositiveDelta0
+from .errors import ConfigError, NonPositiveDelta0
 
 __all__ = [
     "DiscreteMix",
@@ -46,7 +46,7 @@ class DiscreteMix:
 
     def __post_init__(self):
         if not 0.0 <= self.p_female <= 1.0:
-            raise ValueError(f"p_female must lie in [0, 1], got {self.p_female!r}")
+            raise ConfigError(f"p_female must lie in [0, 1], got {self.p_female!r}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def lognormal_counterexample_mc(delta0: float, n: int,
     """
     _check_delta0(delta0)
     if n < 1000:
-        raise ValueError(f"need at least 1000 draws for stable MC SEs, got {n}")
+        raise ConfigError(f"need at least 1000 draws for stable MC SEs, got {n}")
 
     def draws(tag: int):
         seq = np.random.SeedSequence(master_seed, spawn_key=(3, 0, tag))

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import StudyArm, TwoArmStudy, validate_paired
-from .errors import OutOfSupport, UnknownSetting
+from .errors import ConfigError, OutOfSupport, UnknownSetting
 from .estimators import Method, Mu0Surface, estimate_suite
 from .inference import normal_quantile
 from .smoothing import (
@@ -176,8 +176,7 @@ def generate_setting(setting: int, which: str, n1: int, n0: int,
                         _stream(master_seed, setting, ctx, rep, _TAG_W0),
                         _stream(master_seed, setting, ctx, rep, _TAG_S0),
                         _stream(master_seed, setting, ctx, rep, _TAG_E0))
-    return TwoArmStudy(treated=treated, control=control,
-                       label=f"setting{setting}-{which}")
+    return TwoArmStudy(treated=treated, control=control)
 
 
 def true_deltas(setting: int) -> tuple:
@@ -251,9 +250,9 @@ class SimConfig:
         _law(self.setting)
         for name in ("n1p", "n0p", "n1", "n0", "reps", "truth_mc_draws", "threads"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+                raise ConfigError(f"{name} must be a positive integer")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
+            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha!r}")
 
     def smoothing(self) -> SmoothingConfig:
         return SmoothingConfig(kernel=self.kernel, oob_policy=self.oob_policy)
@@ -405,7 +404,7 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
 
     h0s = np.array([bw.h0 for _, bw in ok])
     h1s = np.array([bw.h1 for _, bw in ok])
-    bw_any = ok[0][1] if ok else None
+    bw_any = ok[0][1]
     clamps = sum(suite[Method.H_POOLED].n_clamped + suite[Method.P].n_clamped
                  for suite, _ in ok)
 
@@ -422,7 +421,5 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
         truth_tilde_delta_h=tilde, methods=methods,
         se_ratio_pooled_simple=ratio,
         mean_h0=float(h0s.mean()), mean_h1=float(h1s.mean()),
-        h2=bw_any.h2 if bw_any else float("nan"),
-        h3=bw_any.h3 if bw_any else float("nan"),
-        h4=bw_any.h4 if bw_any else float("nan"),
+        h2=bw_any.h2, h3=bw_any.h3, h4=bw_any.h4,
         clamped_evals=clamps)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSpread, NonPositiveBandwidth, OutOfSupport
+from .errors import DegenerateSpread, NonFiniteValue, NonPositiveBandwidth, OutOfSupport
 
 __all__ = [
     "KernelKind",
@@ -24,7 +24,6 @@ __all__ = [
     "SmoothingConfig",
     "BandwidthRule",
     "BANDWIDTH_RECIPE",
-    "kernel_weight",
     "rule_of_thumb_bandwidth",
     "default_bandwidths",
     "nw_curve_many",
@@ -48,14 +47,6 @@ class KernelKind(enum.Enum):
     EPANECHNIKOV = "epanechnikov"
     GAUSSIAN = "gaussian"
 
-    @classmethod
-    def parse(cls, name: str) -> "KernelKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown kernel {name!r}; expected one of "
-                             f"{[k.value for k in cls]}") from None
-
 
 class OobPolicy(enum.Enum):
     """What to do when a query point has (numerically) no kernel mass.
@@ -66,14 +57,6 @@ class OobPolicy(enum.Enum):
 
     ERROR = "error"
     CLAMP_TO_NEAREST = "clamp"
-
-    @classmethod
-    def parse(cls, name: str) -> "OobPolicy":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown out-of-bounds policy {name!r}; "
-                             f"expected one of {[p.value for p in cls]}") from None
 
 
 @dataclass(frozen=True)
@@ -112,12 +95,6 @@ def _profile(kind: KernelKind, u: np.ndarray) -> np.ndarray:
     if kind is KernelKind.GAUSSIAN:
         return np.exp(-0.5 * u * u) / _SQRT_2PI
     raise ValueError(f"unhandled kernel kind {kind!r}")
-
-
-def kernel_weight(kind: KernelKind, u: float, h: float) -> float:
-    """K(u/h)/h, the bandwidth-normalized kernel weight at signed distance u."""
-    _check_bandwidth(h, "h")
-    return float(_profile(kind, np.asarray(u, dtype=float) / h)) / h
 
 
 def rule_of_thumb_bandwidth(values, n_for_rate: int, exponent: float,
@@ -256,20 +233,36 @@ def _nw_product(data, ys, queries, kernel: KernelKind,
     return out, clamped
 
 
+def _smoother_inputs(data: dict, queries: dict) -> tuple[list, list]:
+    """Data and query arguments of a smoother as float arrays, checked.
+
+    The data arrays must be equal-length, nonempty and 1-D, the query arrays
+    (scalars become length-1) must match each other, and every value must be
+    finite: a NaN would otherwise pass as zero kernel mass or vanish from
+    the sums.
+    """
+    xs = [np.asarray(v, dtype=float) for v in data.values()]
+    if xs[0].ndim != 1 or xs[0].size == 0 or any(v.shape != xs[0].shape for v in xs):
+        raise ValueError(f"{', '.join(data)} must be equal-length nonempty 1-D arrays")
+    qs = [np.array(v, dtype=float, ndmin=1) for v in queries.values()]
+    if any(q.shape != qs[0].shape for q in qs):
+        raise ValueError("query arrays must have matching shapes")
+    for name, v in zip([*data, *queries], xs + qs):
+        if not np.isfinite(v).all():
+            raise NonFiniteValue(f"non-finite value in smoother input {name}")
+    return xs, qs
+
+
 def nw_curve_many(xs, ys, h: float, kernel: KernelKind, x0s,
                   cfg: SmoothingConfig) -> tuple[np.ndarray, int]:
     """Vectorized 1-D Nadaraya-Watson smoother.
 
     Returns (values at each x0, number of queries clamped to the nearest
     data point).  Raises OutOfSupport under the ERROR policy when any query
-    has kernel mass below the floor.
+    has kernel mass below the floor, NonFiniteValue on a NaN or infinite input.
     """
     _check_bandwidth(h, "h")
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
-        raise ValueError("xs and ys must be equal-length nonempty 1-D arrays")
-    x0s = np.array(x0s, dtype=float, ndmin=1)
+    (xs, ys), (x0s,) = _smoother_inputs(dict(xs=xs, ys=ys), dict(x0s=x0s))
     return _nw_product([(xs, h)], ys, [x0s], kernel, cfg)
 
 
@@ -282,13 +275,6 @@ def nw_surface_many(ss, ws, ys, h_s: float, h_w: float, kernel: KernelKind,
     """
     _check_bandwidth(h_s, "h_s")
     _check_bandwidth(h_w, "h_w")
-    ss = np.asarray(ss, dtype=float)
-    ws = np.asarray(ws, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if not (ss.shape == ws.shape == ys.shape) or ss.ndim != 1 or ss.size == 0:
-        raise ValueError("ss, ws, ys must be equal-length nonempty 1-D arrays")
-    s0s = np.array(s0s, dtype=float, ndmin=1)
-    w0s = np.array(w0s, dtype=float, ndmin=1)
-    if s0s.shape != w0s.shape:
-        raise ValueError("query arrays must have matching shapes")
+    (ss, ws, ys), (s0s, w0s) = _smoother_inputs(dict(ss=ss, ws=ws, ys=ys),
+                                                dict(s0s=s0s, w0s=w0s))
     return _nw_product([(ss, h_s), (ws, h_w)], ys, [s0s, w0s], kernel, cfg)

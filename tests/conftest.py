@@ -37,12 +37,10 @@ def tiny_pair(with_current_y=True):
                          y=[4.0, 6.5, 3.1]),
         control=StudyArm(s=[1.0, 1.5, 2.0, 0.5, 2.5],
                          w=[0.0, 1.0, 2.0, 1.5, 0.5],
-                         y=[3.0, 4.5, 6.2, 2.1, 7.0]),
-        label="prior")
+                         y=[3.0, 4.5, 6.2, 2.1, 7.0]))
     cur_kw = dict(
         treated=StudyArm(s=[1.2, 1.8, 2.2], w=[0.4, 1.1, 1.9],
                          y=[5.0, 5.8, 6.9] if with_current_y else None),
         control=StudyArm(s=[0.8, 1.4], w=[0.9, 1.6],
-                         y=[3.3, 4.4] if with_current_y else None),
-        label="current")
+                         y=[3.3, 4.4] if with_current_y else None))
     return validate_paired(prior, TwoArmStudy(**cur_kw))

@@ -29,7 +29,7 @@ def csv_pair(tmp_path_factory):
         return StudyArm(s=arm.s, w=arm.w, y=None)
 
     blinded = TwoArmStudy(treated=strip(current.treated),
-                          control=strip(current.control), label="current")
+                          control=strip(current.control))
     write_study_csv(blinded, d / "current_blinded.csv")
     return d
 
@@ -80,8 +80,8 @@ def test_cli_matches_library_exactly(csv_pair, tmp_path, capsys):
     assert code == 0
     report = read_report(out)
 
-    prior = load_study_csv(csv_pair / "prior.csv", label="prior")
-    current = load_study_csv(csv_pair / "current.csv", label="current")
+    prior = load_study_csv(csv_pair / "prior.csv")
+    current = load_study_csv(csv_pair / "current.csv")
     paired = validate_paired(prior, current)
     cfg = SmoothingConfig(kernel=KernelKind.EPANECHNIKOV,
                           oob_policy=OobPolicy.CLAMP_TO_NEAREST)
@@ -178,7 +178,7 @@ def test_simulate_rejects_zero_reps(tmp_path, capsys):
     code, _, err = run_cli(["simulate", "--setting", "7", "--reps", "0",
                             "--out", str(tmp_path / "o")], capsys)
     assert code == 1
-    assert "reps" in err
+    assert "ConfigError" in err and "reps" in err
 
 
 def test_simulate_requires_setting(tmp_path, capsys):
@@ -237,8 +237,8 @@ def test_bandwidths_command(csv_pair, tmp_path, capsys):
     assert set(report["bandwidths"]) == {"h0", "h1", "h2", "h3", "h4"}
     assert all(v > 0 for v in report["bandwidths"].values())
 
-    prior = load_study_csv(csv_pair / "prior.csv", label="prior")
-    current = load_study_csv(csv_pair / "current.csv", label="current")
+    prior = load_study_csv(csv_pair / "prior.csv")
+    current = load_study_csv(csv_pair / "current.csv")
     paired = validate_paired(prior, current)
     bw = default_bandwidths(paired, KernelKind.EPANECHNIKOV)
     for k in ("h0", "h1", "h2", "h3", "h4"):
@@ -269,7 +269,7 @@ def test_bandwidths_constant_marker_names_column(csv_pair, tmp_path, capsys):
     degenerate = TwoArmStudy(
         treated=StudyArm(s=np.ones(n), w=np.linspace(0, 10, n),
                          y=np.linspace(2, 6, n)),
-        control=arm, label="prior")
+        control=arm)
     path = tmp_path / "degenerate.csv"
     write_study_csv(degenerate, path)
     code, _, err = run_cli(["bandwidths", str(path),

@@ -14,7 +14,10 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    env["TMPDIR"] = str(tmp_path)  # the demos write their files to a temp dir
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env["TMPDIR"] = str(tmpdir)  # a demo's temporary files must be gone when it ends
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
+    assert list(tmpdir.iterdir()) == []

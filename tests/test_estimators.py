@@ -15,9 +15,7 @@ from surrtest.data import StudyArm, TwoArmStudy, validate_paired
 from surrtest.errors import MissingOutcome, ZeroDenominator
 from surrtest.estimators import (
     Method,
-    delta_gold,
     estimate_suite,
-    fit_mu0_curve,
     fit_mu0_surface,
     pte_ratio,
 )
@@ -233,12 +231,6 @@ def test_huge_current_bandwidths_collapse_twostage_to_simple():
 
 # ------------------------------------------------------------- edge cases
 
-def test_gold_requires_outcomes():
-    blinded = tiny_pair(with_current_y=False)
-    with pytest.raises(MissingOutcome):
-        delta_gold(blinded.current)
-
-
 def test_simple_form_counts_only_transport_clamps():
     # the arms' covariates never come within a bandwidth of each other, so
     # every cross-arm m1/m0 query clamps; the simple contrast uses none of
@@ -267,8 +259,6 @@ def test_fit_requires_prior_outcome():
     broken = PairedLike(prior=prior, current=fake.current)
     with pytest.raises(MissingOutcome):
         fit_mu0_surface(broken, BW, EPA, ERR_CFG)
-    with pytest.raises(MissingOutcome):
-        fit_mu0_curve(broken, BW, EPA, ERR_CFG)
 
 
 class PairedLike:

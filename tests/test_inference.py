@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from surrtest.errors import ZeroSE
+from surrtest.errors import ConfigError, ZeroSE
 from surrtest.estimators import Method
 from surrtest.inference import normal_cdf, normal_quantile, wald_test
 
@@ -110,9 +110,9 @@ def test_zero_se_rejected():
 
 
 def test_alpha_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         wald_test(_Est(1.0, 1.0), alpha=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         wald_test(_Est(1.0, 1.0), alpha=1.0)
 
 

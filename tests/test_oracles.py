@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surrtest.errors import NonPositiveDelta0
+from surrtest.errors import ConfigError, NonPositiveDelta0
 from surrtest.oracles import (
     DISCRETE_DELTA_P_NOTE,
     DiscreteMix,
@@ -59,7 +59,7 @@ def test_discrete_ordering_crosses_at_half(p):
 
 def test_discrete_mix_validation():
     for bad in (-0.1, 1.5, math.nan):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             DiscreteMix(p_female=bad)
 
 
@@ -107,7 +107,7 @@ def test_lognormal_validation():
 
 
 def test_mc_requires_enough_draws():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         lognormal_counterexample_mc(0.5, 999)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from surrtest.errors import OutOfSupport, UnknownSetting
+from surrtest.errors import ConfigError, OutOfSupport, UnknownSetting
 from surrtest.estimators import Mu0Surface
 from surrtest.simulate import (
     SimConfig,
@@ -133,17 +133,17 @@ def test_tilde_approaches_population_value_with_big_prior():
 # --------------------------------------------------------------- campaign
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SimConfig(setting=1, reps=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SimConfig(setting=1, n1=-5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SimConfig(setting=1, alpha=1.5)
-    with pytest.raises(ValueError, match="threads"):
+    with pytest.raises(ConfigError, match="threads"):
         SimConfig(setting=1, threads=-3)
-    with pytest.raises(ValueError, match="threads"):
+    with pytest.raises(ConfigError, match="threads"):
         SimConfig(setting=1, threads=0)
-    with pytest.raises(ValueError, match="truth_mc_draws"):
+    with pytest.raises(ConfigError, match="truth_mc_draws"):
         SimConfig(setting=1, truth_mc_draws=0)
 
 

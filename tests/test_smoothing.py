@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surrtest.errors import DegenerateSpread, NonPositiveBandwidth, OutOfSupport
+from surrtest.errors import (
+    DegenerateSpread,
+    NonFiniteValue,
+    NonPositiveBandwidth,
+    OutOfSupport,
+)
 from surrtest.smoothing import (
     Bandwidths,
     KernelKind,
     OobPolicy,
     SmoothingConfig,
     default_bandwidths,
-    kernel_weight,
     nw_curve_many,
     nw_surface_many,
     rule_of_thumb_bandwidth,
@@ -26,49 +30,52 @@ CLAMP = SmoothingConfig(kernel=EPA, oob_policy=OobPolicy.CLAMP_TO_NEAREST)
 
 
 # ---------------------------------------------------------------- kernels
+# Kernel weights seen through the smoother: with data xs=[0, u], ys=[0, 1]
+# and bandwidth h, the value at 0 is K(u/h) / (K(0) + K(u/h)).
+
+def _two_point(kind, u, h):
+    cfg = SmoothingConfig(kernel=kind, oob_policy=OobPolicy.ERROR)
+    return nw_curve_many([0.0, u], [0.0, 1.0], h, kind, [0.0], cfg)[0][0]
+
 
 def test_epanechnikov_values():
-    assert kernel_weight(EPA, 0.0, 1.0) == 0.75
-    assert kernel_weight(EPA, 1.0, 1.0) == 0.0
-    assert kernel_weight(EPA, -1.0, 1.0) == 0.0
-    assert kernel_weight(EPA, 2.0, 1.0) == 0.0
-    assert kernel_weight(EPA, 0.5, 1.0) == pytest.approx(0.5625, abs=1e-15)
+    # K(0) = 3/4 and K(1/2) = 9/16 give 3/7; K vanishes at |u| >= 1
+    assert _two_point(EPA, 0.0, 1.0) == 0.5
+    assert _two_point(EPA, 0.5, 1.0) == pytest.approx(3.0 / 7.0, abs=1e-15)
+    for u in (1.0, -1.0, 2.0):
+        assert _two_point(EPA, u, 1.0) == 0.0
 
 
 def test_gaussian_values():
-    # standard normal density at 0 and 1
-    assert kernel_weight(GAU, 0.0, 1.0) == pytest.approx(
-        0.3989422804014327, abs=1e-15)
-    assert kernel_weight(GAU, 1.0, 1.0) == pytest.approx(
-        0.24197072451914337, abs=1e-15)
+    # standard normal density: K(u)/K(0) = exp(-u^2/2)
+    for u in (1.0, -2.0):
+        r = math.exp(-0.5 * u * u)
+        assert _two_point(GAU, u, 1.0) == pytest.approx(r / (1.0 + r), abs=1e-15)
 
 
 def test_kernel_weight_bandwidth_scaling():
-    # K_h(u) = K(u/h)/h
-    assert kernel_weight(EPA, 1.0, 2.0) == pytest.approx(
-        0.75 * (1 - 0.25) / 2.0, abs=1e-15)
-    assert kernel_weight(EPA, 3.0, 2.0) == 0.0
+    # the weight is K(u/h): scaling u and h together changes nothing
+    assert _two_point(EPA, 1.0, 2.0) == pytest.approx(3.0 / 7.0, abs=1e-15)
+    assert _two_point(EPA, 3.0, 2.0) == 0.0
+    for kind in (EPA, GAU):
+        assert _two_point(kind, 1.4, 2.0) == pytest.approx(
+            _two_point(kind, 0.7, 1.0), rel=1e-15)
 
 
 def test_kernel_weight_rejects_bad_bandwidth():
     for h in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(NonPositiveBandwidth):
-            kernel_weight(EPA, 0.5, h)
+            nw_curve_many([0.0, 1.0], [0.0, 1.0], h, EPA, [0.5], ERR)
+        with pytest.raises(NonPositiveBandwidth):
+            nw_surface_many([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], 1.0, h, EPA,
+                            [0.5], [0.5], ERR)
 
 
 @given(u=st.floats(-5, 5), h=st.floats(0.1, 10))
 def test_kernel_weight_nonnegative(u, h):
-    assert kernel_weight(EPA, u, h) >= 0.0
-    assert kernel_weight(GAU, u, h) >= 0.0
-
-
-def test_kernel_parse():
-    assert KernelKind.parse(" Epanechnikov ") is EPA
-    assert KernelKind.parse("gaussian") is GAU
-    with pytest.raises(ValueError, match="unknown kernel"):
-        KernelKind.parse("tricube")
-    with pytest.raises(ValueError, match="unknown out-of-bounds"):
-        OobPolicy.parse("wrap")
+    # a negative K(u/h) would push the value below 0; K(u/h) <= K(0) caps it at 1/2
+    for kind in (EPA, GAU):
+        assert 0.0 <= _two_point(kind, u, h) <= 0.5
 
 
 # ------------------------------------------------------------- bandwidths
@@ -238,6 +245,30 @@ def test_nw_input_validation():
         nw_curve_many([1, 2], [1, 2], -0.5, EPA, [1.5], ERR)
     with pytest.raises(ValueError):
         nw_surface_many([1, 2], [1, 2], [1, 2], 1.0, 1.0, EPA, [1.0], [1.0, 2.0], ERR)
+
+
+@pytest.mark.parametrize("kind", [EPA, GAU], ids=["epanechnikov", "gaussian"])
+@pytest.mark.parametrize("policy", list(OobPolicy), ids=[p.value for p in OobPolicy])
+def test_nw_rejects_non_finite_inputs(kind, policy):
+    # a NaN query used to clamp to data point 0 (or come out NaN), and a NaN
+    # data point dropped out of the sums unnoticed
+    cfg = SmoothingConfig(kernel=kind, oob_policy=policy)
+    with pytest.raises(NonFiniteValue, match="x0s"):
+        nw_curve_many([0, 1, 2], [10, 20, 30], 1.0, kind, [math.nan, 1.0], cfg)
+    curve = [[0.0, 1.0, 2.0], [10.0, 20.0, 30.0], [0.5, 1.0]]  # xs, ys, x0s
+    surface = [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 2.0, 3.0],
+               [0.5, 1.0], [0.5, 1.0]]  # ss, ws, ys, s0s, w0s
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(len(curve)):
+            args = [list(a) for a in curve]
+            args[i][-1] = bad
+            with pytest.raises(NonFiniteValue):
+                nw_curve_many(args[0], args[1], 1.0, kind, args[2], cfg)
+        for i in range(len(surface)):
+            args = [list(a) for a in surface]
+            args[i][-1] = bad
+            with pytest.raises(NonFiniteValue):
+                nw_surface_many(*args[:3], 1.0, 1.0, kind, *args[3:], cfg)
 
 
 # -------------------------------------------------------- out-of-support
