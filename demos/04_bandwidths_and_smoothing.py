@@ -38,7 +38,7 @@ print(f"\nprior control n={n}: n^-0.4 = {n**-0.4:.5f}, n^-0.31 = {n**-0.31:.5f}"
 rng = np.random.default_rng(4)
 x = np.sort(rng.uniform(0, 10, 60))
 y = np.sin(x) + 0.1 * rng.standard_normal(60)
-h = rule_of_thumb_bandwidth(x, x.size, -0.4)
+h = rule_of_thumb_bandwidth(x, -0.4)
 
 queries = np.array([2.0, 5.0, 9.0, 14.0])  # 14 sits far outside the data
 

@@ -7,10 +7,13 @@ Four subcommands: ``test`` (estimate and test on a prior/current CSV pair),
 feeding them).  Every command prints a human-readable table on stdout and
 writes ``report.json`` plus ``summary.csv`` into the output directory.
 
-Reports carry the kernel, bandwidths, seed, and input-file hashes so a result
-can always be traced back to its exact inputs.  Report files contain no
-timestamps: identical invocations produce byte-identical files (timing is
-printed to stdout only).
+Besides ``--out`` and ``--config``, ``test`` takes ``--kernel``, ``--alpha``
+and ``--oob``; ``simulate`` takes those and ``--seed``; ``oracle`` takes
+``--seed`` (for the lognormal Monte Carlo); ``bandwidths`` takes none, as its
+recipe is the same for both kernels.  Reports echo these options, the
+bandwidths and the input-file hashes, so a result can always be traced back
+to its exact inputs.  Report files contain no timestamps: identical
+invocations produce byte-identical files (timing is printed to stdout only).
 
 ``--config FILE`` reads ``key = value`` lines.  Each key must be a long
 option of the chosen subcommand (dashes or underscores); its value gets the
@@ -33,7 +36,7 @@ from . import __version__
 from .data import load_study_csv, validate_paired
 from .errors import ConfigError, DegenerateSpread, SurrtestError, ZeroDenominator
 from .estimators import Method, estimate_suite, pte_ratio
-from .inference import wald_test
+from .inference import check_alpha, wald_test
 from .oracles import (
     DISCRETE_DELTA_P_NOTE,
     DiscreteMix,
@@ -51,6 +54,19 @@ from .smoothing import (
     SmoothingConfig,
     default_bandwidths,
 )
+
+# the options that set a result, with their argparse settings; each
+# subcommand takes those it reads, and its report echoes the ones it takes
+_PROVENANCE = {
+    "kernel": dict(choices=["epanechnikov", "gaussian"], default="epanechnikov"),
+    "alpha": dict(type=float, default=0.05),
+    "seed": dict(type=int, default=1),
+    # clamp by default: heavy-tailed markers routinely put a few treated
+    # points past the prior control support, and an analysis command that
+    # aborts on them is useless; the clamp count lands in the diagnostics
+    "oob": dict(choices=["error", "clamp"], default="clamp",
+                help="out-of-support policy (default: clamp, with counts reported)"),
+}
 
 _METHOD_ORDER = ("gold", "p", "h_pooled", "h_simple", "h_twostage", "h_aug")
 
@@ -95,24 +111,9 @@ def _write_outputs(out_dir, report: dict, rows: list) -> None:
 def _common_report(args, command: str) -> dict:
     # no argv and no thread count in here: reports must be byte-identical
     # for a given seed and config however the work was scheduled
-    return {
-        "tool": "surrtest",
-        "version": __version__,
-        "command": command,
-        "kernel": args.kernel,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "oob": args.oob,
-    }
-
-
-def _smoothing_config(args) -> SmoothingConfig:
-    # clamp by default: heavy-tailed markers routinely put a few treated
-    # points past the prior control support, and an analysis command that
-    # aborts on them is useless; the clamp count lands in the diagnostics
-    if args.oob is None:
-        args.oob = "clamp"
-    return SmoothingConfig(kernel=KernelKind(args.kernel), oob_policy=OobPolicy(args.oob))
+    report = {"tool": "surrtest", "version": __version__, "command": command}
+    report.update((k, v) for k, v in vars(args).items() if k in _PROVENANCE)
+    return report
 
 
 def _load_pair(args):
@@ -127,7 +128,8 @@ def _load_pair(args):
 
 
 def cmd_test(args) -> int:
-    scfg = _smoothing_config(args)
+    check_alpha(args.alpha)
+    scfg = SmoothingConfig(kernel=KernelKind(args.kernel), oob_policy=OobPolicy(args.oob))
     paired, inputs = _load_pair(args)
     prior, current = paired.prior, paired.current
     if args.bandwidths is not None:
@@ -145,7 +147,7 @@ def cmd_test(args) -> int:
     outcomes = {}
     for name in wanted:
         est = suite[Method(name)]
-        outcomes[name] = (est, wald_test(est, alpha=args.alpha, method=name))
+        outcomes[name] = (est, wald_test(est, alpha=args.alpha))
 
     print(f"prior:   {args.prior_csv} (n1={prior.treated.n}, n0={prior.control.n})")
     print(f"current: {args.current_csv} (n1={current.treated.n}, n0={current.control.n})")
@@ -220,13 +222,13 @@ def simulation_rows(summary) -> list:
 
 def cmd_simulate(args) -> int:
     if args.setting is None:
-        raise SurrtestError("simulate needs --setting (flag or config file)")
-    scfg = _smoothing_config(args)
+        raise ConfigError("simulate needs --setting (flag or config file)")
     cfg = SimConfig(
         setting=args.setting, n1p=args.n1p, n0p=args.n0p, n1=args.n1, n0=args.n0,
         reps=args.reps, master_seed=args.seed, alpha=args.alpha,
         fix_prior=args.fix_prior, truth_mc_draws=args.truth_draws,
-        kernel=scfg.kernel, oob_policy=scfg.oob_policy, threads=args.threads)
+        kernel=KernelKind(args.kernel), oob_policy=OobPolicy(args.oob),
+        threads=args.threads)
 
     t0 = time.perf_counter()
     summary = run_simulation(cfg)
@@ -340,7 +342,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bandwidths(args) -> int:
-    _smoothing_config(args)  # checks the options and fills in the oob default
     paired, inputs = _load_pair(args)
 
     rows = []
@@ -416,14 +417,10 @@ def _config_tokens(sub: argparse.ArgumentParser, path) -> list:
     return tokens
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", choices=["epanechnikov", "gaussian"],
-                        default="epanechnikov")
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--oob", choices=["error", "clamp"], default=None,
-                        help="out-of-support policy (default: clamp, with "
-                             "counts reported)")
+def _add_common(parser: argparse.ArgumentParser, *provenance: str) -> None:
+    """Add the `provenance` options named in _PROVENANCE, --out and --config."""
+    for name in provenance:
+        parser.add_argument(f"--{name}", **_PROVENANCE[name])
     parser.add_argument("--out", default="surrtest-out",
                         help="directory for report.json and summary.csv")
     parser.add_argument("--config", default=None,
@@ -446,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--bandwidths", type=float, nargs=5,
                         metavar=("H0", "H1", "H2", "H3", "H4"),
                         help="override the data-driven bandwidths")
-    _add_common(p_test)
+    _add_common(p_test, "kernel", "alpha", "oob")
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", allow_abbrev=False,
@@ -464,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte-Carlo draws for the fixed-surface target")
     p_sim.add_argument("--threads", type=int, default=1,
                        help="worker threads for the replications")
-    _add_common(p_sim)
+    _add_common(p_sim, "kernel", "alpha", "seed", "oob")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_or = sub.add_parser("oracle", allow_abbrev=False,
@@ -476,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="effect parameter for the lognormal benchmark")
     p_or.add_argument("--mc", type=int, default=10**6,
                       help="Monte-Carlo draws for adjudication")
-    _add_common(p_or)
+    _add_common(p_or, "seed")
     p_or.set_defaults(func=cmd_oracle)
 
     p_bw = sub.add_parser("bandwidths", allow_abbrev=False,

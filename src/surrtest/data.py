@@ -34,9 +34,6 @@ __all__ = [
     "validate_paired",
 ]
 
-DEFAULT_SCHEMA = {"z": "z", "s": "s", "w": "w", "y": "y"}
-
-
 def _as_readonly(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float).copy()
     if arr.ndim != 1 or arr.size == 0:
@@ -114,15 +111,8 @@ def _parse_float(cell: str, column: str, line_no: int) -> float:
     return v
 
 
-def load_study_csv(path, schema: Optional[dict] = None) -> TwoArmStudy:
-    """Read one study CSV and partition rows by treatment indicator.
-
-    `schema` maps the canonical column names (z, s, w, y) to the names used
-    in the file; omitted keys default to themselves.
-    """
-    cols = dict(DEFAULT_SCHEMA)
-    cols.update(schema or {})
-
+def load_study_csv(path) -> TwoArmStudy:
+    """Read one study CSV and partition rows by treatment indicator."""
     rows = {0: {"s": [], "w": [], "y": []}, 1: {"s": [], "w": [], "y": []}}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -130,12 +120,12 @@ def load_study_csv(path, schema: Optional[dict] = None) -> TwoArmStudy:
             raise MissingColumn(f"{path}: empty file, no header row")
         header = set(reader.fieldnames)
         for key in ("z", "s", "w"):
-            if cols[key] not in header:
-                raise MissingColumn(f"{path}: required column {cols[key]!r} missing")
-        has_y_col = cols["y"] in header
+            if key not in header:
+                raise MissingColumn(f"{path}: required column {key!r} missing")
+        has_y_col = "y" in header
 
         for line_no, row in enumerate(reader, start=2):
-            z_raw = (row.get(cols["z"]) or "").strip()
+            z_raw = (row.get("z") or "").strip()
             try:
                 z_val = float(z_raw)
             except ValueError:
@@ -145,13 +135,13 @@ def load_study_csv(path, schema: Optional[dict] = None) -> TwoArmStudy:
                 raise InvalidTreatmentCode(
                     f"{path} line {line_no}: treatment code must be 0 or 1, got {z_raw!r}")
             g = int(z_val)
-            rows[g]["s"].append(_parse_float(row.get(cols["s"]), cols["s"], line_no))
-            rows[g]["w"].append(_parse_float(row.get(cols["w"]), cols["w"], line_no))
+            rows[g]["s"].append(_parse_float(row.get("s"), "s", line_no))
+            rows[g]["w"].append(_parse_float(row.get("w"), "w", line_no))
             if has_y_col:
-                y_cell = row.get(cols["y"])
+                y_cell = row.get("y")
                 y_cell = y_cell.strip() if y_cell is not None else ""
                 rows[g]["y"].append(
-                    None if y_cell == "" else _parse_float(y_cell, cols["y"], line_no))
+                    None if y_cell == "" else _parse_float(y_cell, "y", line_no))
 
     arms = {}
     for g in (1, 0):

@@ -1,8 +1,7 @@
 """Wald tests, p-values, and confidence intervals for estimate/SE pairs.
 
 All tests use the standard normal reference distribution.  The normal CDF and
-quantile go through double-precision rational approximations (absolute error
-well below 1e-12), so results are bit-stable across platforms.
+quantile are scipy's ``ndtr`` and ``ndtri``.
 """
 
 from __future__ import annotations
@@ -50,14 +49,19 @@ class TestOutcome:
     method: str = ""
 
 
-def wald_test(e, alpha: float = 0.05, method: str = None) -> TestOutcome:
+def check_alpha(alpha: float) -> None:
+    """Raise ConfigError unless the test level `alpha` lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha!r}")
+
+
+def wald_test(e, alpha: float = 0.05) -> TestOutcome:
     """Two-sided normal-reference test of `estimate = 0`.
 
     `e` is anything with .estimate and .se attributes (and optionally
-    .method, used as the default tag).
+    .method, used as the tag).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     est = float(e.estimate)
     se = float(e.se)
     if not (math.isfinite(se) and se > 0.0):
@@ -65,7 +69,7 @@ def wald_test(e, alpha: float = 0.05, method: str = None) -> TestOutcome:
     z = est / se
     p = 2.0 * normal_cdf(-abs(z))
     q = normal_quantile(1.0 - alpha / 2.0)
-    tag = method if method is not None else getattr(e, "method", "")
+    tag = getattr(e, "method", "")
     if isinstance(tag, enum.Enum):  # Method enums flatten to their string value
         tag = tag.value
     return TestOutcome(

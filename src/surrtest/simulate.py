@@ -45,7 +45,7 @@ from scipy.special import ndtri
 from .data import StudyArm, TwoArmStudy, validate_paired
 from .errors import ConfigError, OutOfSupport, UnknownSetting
 from .estimators import Method, Mu0Surface, estimate_suite
-from .inference import normal_quantile
+from .inference import check_alpha, normal_quantile
 from .smoothing import (
     BANDWIDTH_RECIPE,
     KernelKind,
@@ -251,8 +251,7 @@ class SimConfig:
         for name in ("n1p", "n0p", "n1", "n0", "reps", "truth_mc_draws", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        check_alpha(self.alpha)
 
     def smoothing(self) -> SmoothingConfig:
         return SmoothingConfig(kernel=self.kernel, oob_policy=self.oob_policy)

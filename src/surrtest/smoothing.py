@@ -97,13 +97,11 @@ def _profile(kind: KernelKind, u: np.ndarray) -> np.ndarray:
     raise ValueError(f"unhandled kernel kind {kind!r}")
 
 
-def rule_of_thumb_bandwidth(values, n_for_rate: int, exponent: float,
-                            multiplier: float = 1.0) -> float:
+def rule_of_thumb_bandwidth(values, exponent: float, multiplier: float = 1.0) -> float:
     """Normal-reference bandwidth: multiplier * 1.06 * min(sd, IQR/1.34) * n^exponent.
 
-    sd is the sample standard deviation (n-1 denominator); the IQR uses
-    linear-interpolation quantiles.  `n_for_rate` is the sample size entering
-    the rate factor, which need not equal len(values).
+    n is len(values) and sd the sample standard deviation (n-1 denominator);
+    the IQR uses linear-interpolation quantiles.
     """
     x = np.asarray(values, dtype=float)
     if x.size < 2:
@@ -114,7 +112,7 @@ def rule_of_thumb_bandwidth(values, n_for_rate: int, exponent: float,
     if sd == 0.0 or iqr == 0.0:
         raise DegenerateSpread(
             f"degenerate spread (sd={sd}, IQR={iqr}); all values equal?")
-    return multiplier * 1.06 * min(sd, iqr / 1.34) * float(n_for_rate) ** exponent
+    return multiplier * 1.06 * min(sd, iqr / 1.34) * float(x.size) ** exponent
 
 
 class BandwidthRule(NamedTuple):
@@ -132,8 +130,8 @@ class BandwidthRule(NamedTuple):
         return getattr(getattr(paired, self.study), self.arm)
 
     def resolve(self, arm) -> float:
-        """Rule-of-thumb bandwidth from `arm`, with the arm size as the rate n."""
-        return rule_of_thumb_bandwidth(getattr(arm, self.variable), arm.n,
+        """Rule-of-thumb bandwidth from `arm`'s variable."""
+        return rule_of_thumb_bandwidth(getattr(arm, self.variable),
                                        self.exponent, self.multiplier)
 
 

@@ -68,6 +68,9 @@ def test_test_command(csv_pair, tmp_path, capsys):
     assert all(report["bandwidths"][k] > 0 for k in ("h0", "h1", "h2", "h3", "h4"))
     assert len(report["inputs"]["prior_csv"]["sha256"]) == 64
     assert "transported, covariate-aware (pooled)" in stdout
+    assert (report["kernel"], report["alpha"], report["oob"]) == \
+        ("epanechnikov", 0.05, "clamp")
+    assert "seed" not in report  # test draws nothing at random
     header, rows = csv_rows(out)
     assert "estimate" in header and len(rows) == 3
 
@@ -92,7 +95,7 @@ def test_cli_matches_library_exactly(csv_pair, tmp_path, capsys):
     assert set(by_method) == {"gold", "p", "h_pooled", "h_aug"}
     for name, row in by_method.items():
         est = suite[Method(name)]
-        t = wald_test(est, alpha=0.05, method=name)
+        t = wald_test(est, alpha=0.05)
         # json round-trip is exact for doubles, so these are equalities
         assert row["estimate"] == est.estimate
         assert row["se"] == est.se
@@ -132,11 +135,15 @@ def test_alpha_changes_ci_width_by_quantile_ratio(csv_pair, tmp_path, capsys):
 
 
 def test_missing_input_file_fails(tmp_path, capsys):
-    code, _, err = run_cli(["test", str(tmp_path / "nope.csv"),
-                            str(tmp_path / "nada.csv"),
-                            "--out", str(tmp_path / "o")], capsys)
+    inputs = [str(tmp_path / "nope.csv"), str(tmp_path / "nada.csv")]
+    code, _, err = run_cli(["test", *inputs, "--out", str(tmp_path / "o")], capsys)
     assert code == 1
     assert "error" in err
+    # a bad alpha is rejected before any input is read
+    code, _, err = run_cli(["test", *inputs, "--alpha", "1.5",
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert "ConfigError" in err and "alpha" in err
 
 
 # --------------------------------------------------------------- simulate
@@ -185,7 +192,7 @@ def test_simulate_requires_setting(tmp_path, capsys):
     code, _, err = run_cli(["simulate", "--reps", "2",
                             "--out", str(tmp_path / "o")], capsys)
     assert code == 1
-    assert "setting" in err
+    assert "ConfigError" in err and "setting" in err
 
 
 # ----------------------------------------------------------------- oracle
@@ -200,6 +207,8 @@ def test_oracle_discrete(tmp_path, capsys):
     assert report["analytic"]["delta_p"] == pytest.approx(44.5, abs=1e-12)
     assert report["analytic"]["delta_h"] == pytest.approx(17.95, abs=1e-12)
     assert "44.05" in report["note"]
+    assert report["seed"] == 1
+    assert not {"kernel", "alpha", "oob"} & set(report)
     header, rows = csv_rows(out)
     assert len(rows) == 3
 
@@ -236,6 +245,7 @@ def test_bandwidths_command(csv_pair, tmp_path, capsys):
     report = read_report(out)
     assert set(report["bandwidths"]) == {"h0", "h1", "h2", "h3", "h4"}
     assert all(v > 0 for v in report["bandwidths"].values())
+    assert not {"kernel", "alpha", "seed", "oob"} & set(report)
 
     prior = load_study_csv(csv_pair / "prior.csv")
     current = load_study_csv(csv_pair / "current.csv")
@@ -280,12 +290,20 @@ def test_bandwidths_constant_marker_names_column(csv_pair, tmp_path, capsys):
 
 
 def test_gaussian_kernel_echoed(csv_pair, tmp_path, capsys):
-    out = tmp_path / "o"
-    code, _, _ = run_cli(["bandwidths", str(csv_pair / "prior.csv"),
-                          str(csv_pair / "current.csv"),
-                          "--kernel", "gaussian", "--out", str(out)], capsys)
-    assert code == 0
-    assert read_report(out)["kernel"] == "gaussian"
+    estimates = {}
+    for kernel in ("epanechnikov", "gaussian"):
+        out = tmp_path / kernel
+        code, stdout, _ = run_cli(["test", str(csv_pair / "prior.csv"),
+                                   str(csv_pair / "current.csv"),
+                                   "--kernel", kernel, "--out", str(out)], capsys)
+        assert code == 0
+        assert f"kernel={kernel}" in stdout
+        report = read_report(out)
+        assert report["kernel"] == kernel
+        estimates[kernel] = {r["method"]: r["estimate"] for r in report["results"]}
+    # the outcome contrast uses no smoother; the transported ones do
+    assert estimates["gaussian"]["gold"] == estimates["epanechnikov"]["gold"]
+    assert estimates["gaussian"]["h_pooled"] != estimates["epanechnikov"]["h_pooled"]
 
 
 # ------------------------------------------------------------ config file
@@ -336,8 +354,10 @@ def test_config_file_matches_flags_byte_for_byte(csv_pair, tmp_path, capsys):
     (["bandwidths", "{prior}", "{current}"], "threads = 4", "threads"),
     (["simulate", "--setting", "7"], "bandwidths = 1 1 1 1 1", "bandwidths"),
     (["test", "{prior}", "{current}"], "bandwidths = 1 2 3", "bandwidths"),
+    (["bandwidths", "{prior}", "{current}"], "kernel = gaussian", "kernel"),
+    (["oracle", "discrete"], "alpha = 0.1", "alpha"),
 ], ids=["bogus", "threads-to-bandwidths", "bandwidths-to-simulate",
-        "bandwidths-arity"])
+        "bandwidths-arity", "kernel-to-bandwidths", "alpha-to-oracle"])
 def test_config_file_rejects_unknown_key(csv_pair, tmp_path, capsys,
                                          command, line, key):
     cfg = tmp_path / "run.cfg"
@@ -354,11 +374,11 @@ def test_config_file_rejects_unknown_key(csv_pair, tmp_path, capsys,
 
 def test_load_config_file_parses_and_validates(tmp_path):
     cfg = tmp_path / "a.cfg"
-    cfg.write_text("alpha = 0.1  # trailing comment\n\nseed=4\naug = yes\n"
+    cfg.write_text("alpha = 0.1  # trailing comment\n\noob=error\naug = yes\n"
                    "bandwidths = 1, 2 3 4 5\n")
     args = parse_args(["test", "p.csv", "c.csv", "--config", str(cfg)])
-    assert (args.alpha, args.seed, args.aug, args.bandwidths) == \
-        (0.1, 4, True, [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert (args.alpha, args.oob, args.aug, args.bandwidths) == \
+        (0.1, "error", True, [1.0, 2.0, 3.0, 4.0, 5.0])
     assert (args.prior_csv, args.current_csv) == ("p.csv", "c.csv")
     # switches take true/false words; false on --fix-prior is --no-fix-prior
     cfg.write_text("fix_prior = no\n")
@@ -386,3 +406,16 @@ def test_typed_flag_errors_keep_argparse_exit(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["test", "p.csv", "c.csv", "--config", str(cfg), "--alpha", "ten"])
     assert exc_info.value.code == 2
+    # options a subcommand does not read are not options of it
+    for argv in (["test", "p.csv", "c.csv", "--seed", "3"],
+                 ["oracle", "discrete", "--kernel", "gaussian"],
+                 ["oracle", "discrete", "--alpha", "0.1"],
+                 ["oracle", "discrete", "--oob", "error"],
+                 ["bandwidths", "p.csv", "c.csv", "--kernel", "gaussian"],
+                 ["bandwidths", "p.csv", "c.csv", "--alpha", "0.1"],
+                 ["bandwidths", "p.csv", "c.csv", "--seed", "3"],
+                 ["bandwidths", "p.csv", "c.csv", "--oob", "error"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+    assert "unrecognized arguments: --oob error" in capsys.readouterr().err

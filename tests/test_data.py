@@ -121,14 +121,6 @@ def test_load_nonfinite_cells(tmp_path):
         load_study_csv(_write(tmp_path, "z,s,w\n1,abc,0.5\n0,1.0,0.5\n", "c.csv"))
 
 
-def test_load_schema_mapping(tmp_path):
-    p = _write(tmp_path, "arm,marker,baseline,outcome\n1,2.5,0.3,10.0\n0,1.5,0.7,8.0\n")
-    study = load_study_csv(p, schema={"z": "arm", "s": "marker",
-                                      "w": "baseline", "y": "outcome"})
-    assert study.treated.n == 1
-    assert study.control.s[0] == 1.5
-
-
 def test_roundtrip_bitwise(tmp_path):
     """write -> read preserves every float bit-for-bit (repr round-trip)."""
     study = generate_setting(5, "current", 60, 50, master_seed=3)

@@ -123,8 +123,8 @@ def test_tilde_approaches_population_value_with_big_prior():
                           oob_policy=OobPolicy.CLAMP_TO_NEAREST)
     surface = Mu0Surface(
         s=pc.s, w=pc.w, y=pc.y,
-        h_s=rule_of_thumb_bandwidth(pc.s, pc.n, -0.4, 2.0),
-        h_w=rule_of_thumb_bandwidth(pc.w, pc.n, -0.4, 2.0),
+        h_s=rule_of_thumb_bandwidth(pc.s, -0.4, 2.0),
+        h_w=rule_of_thumb_bandwidth(pc.w, -0.4, 2.0),
         kernel=cfg.kernel, cfg=cfg)
     tilde = tilde_delta_h(surface, 5, 100_000, master_seed=1)
     assert tilde == pytest.approx(5.9136, abs=0.35)

@@ -83,39 +83,40 @@ def test_kernel_weight_nonnegative(u, h):
 def test_rule_of_thumb_frozen_value():
     # sd([1..5]) = sqrt(2.5), IQR = 2, min(sd, IQR/1.34) = 2/1.34;
     # 1.06 * (2/1.34) * 5**-0.4, confirmed with independent arithmetic.
-    h = rule_of_thumb_bandwidth([1, 2, 3, 4, 5], 5, -0.4)
+    h = rule_of_thumb_bandwidth([1, 2, 3, 4, 5], -0.4)
     assert h == pytest.approx(0.831080439602386, abs=1e-14)
 
 
 def test_rule_of_thumb_multiplier_is_linear():
     x = [0.3, 1.7, 2.2, 4.9, 0.1, 3.3]
-    base = rule_of_thumb_bandwidth(x, 6, -0.31)
-    assert rule_of_thumb_bandwidth(x, 6, -0.31, multiplier=2.0) == pytest.approx(
+    base = rule_of_thumb_bandwidth(x, -0.31)
+    assert rule_of_thumb_bandwidth(x, -0.31, multiplier=2.0) == pytest.approx(
         2.0 * base, rel=1e-15)
 
 
 @given(c=st.floats(0.01, 100))
 def test_rule_of_thumb_scale_equivariance(c):
     x = np.array([0.5, 1.0, 2.5, 4.0, 6.5])
-    assert rule_of_thumb_bandwidth(c * x, 17, -0.4) == pytest.approx(
-        c * rule_of_thumb_bandwidth(x, 17, -0.4), rel=1e-12)
+    assert rule_of_thumb_bandwidth(c * x, -0.4) == pytest.approx(
+        c * rule_of_thumb_bandwidth(x, -0.4), rel=1e-12)
 
 
-def test_rule_of_thumb_rate_uses_given_n():
-    x = [1.0, 2.0, 3.0, 4.0, 5.0]
-    h5 = rule_of_thumb_bandwidth(x, 5, -0.4)
-    h500 = rule_of_thumb_bandwidth(x, 500, -0.4)
-    assert h500 == pytest.approx(h5 * (500 / 5) ** -0.4, rel=1e-12)
+def test_rule_of_thumb_rate_uses_sample_size():
+    # exponent 0 drops the rate factor, so the ratio is n^exponent alone
+    for n in (5, 500):
+        x = np.random.default_rng(n).standard_normal(n)
+        h = rule_of_thumb_bandwidth(x, -0.4)
+        assert h == pytest.approx(rule_of_thumb_bandwidth(x, 0.0) * n ** -0.4, rel=1e-12)
 
 
 def test_rule_of_thumb_degenerate():
     with pytest.raises(DegenerateSpread):
-        rule_of_thumb_bandwidth([2.0, 2.0, 2.0, 2.0], 4, -0.4)
+        rule_of_thumb_bandwidth([2.0, 2.0, 2.0, 2.0], -0.4)
     with pytest.raises(DegenerateSpread):
-        rule_of_thumb_bandwidth([1.0], 1, -0.4)
+        rule_of_thumb_bandwidth([1.0], -0.4)
     # zero IQR with nonzero sd (mass piled on the quartiles) still degenerates
     with pytest.raises(DegenerateSpread):
-        rule_of_thumb_bandwidth([1.0] * 10 + [9.0], 11, -0.4)
+        rule_of_thumb_bandwidth([1.0] * 10 + [9.0], -0.4)
 
 
 def test_default_bandwidths_positive(small_pair):
