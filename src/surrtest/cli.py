@@ -1,22 +1,28 @@
 """Command-line front end.
 
-Four subcommands: ``test`` (estimate and test on a prior/current CSV pair),
-``simulate`` (replication campaigns over the built-in settings), ``oracle``
-(closed-form benchmark values with Monte-Carlo adjudication), and
-``bandwidths`` (show the resolved smoothing bandwidths and the statistics
-feeding them).  Every command prints a human-readable table on stdout and
-writes ``report.json`` plus ``summary.csv`` into the output directory.
+Five leaf subcommands: ``test`` (estimate and test on a prior/current CSV
+pair), ``simulate`` (replication campaigns over the built-in settings),
+``oracle discrete`` and ``oracle lognormal`` (closed-form benchmark values,
+the second with Monte-Carlo adjudication), and ``bandwidths`` (the resolved
+bandwidths and the statistics feeding them).  Each prints a table on stdout
+and writes ``report.json`` plus ``summary.csv`` into ``--out``.  Besides
+``--out`` and ``--config``, each takes only options that act:
 
-Besides ``--out`` and ``--config``, ``test`` takes ``--kernel``, ``--alpha``
-and ``--oob``; ``simulate`` takes those and ``--seed``; ``oracle`` takes
-``--seed`` (for the lognormal Monte Carlo); ``bandwidths`` takes none, as its
-recipe is the same for both kernels.  Reports echo these options, the
-bandwidths and the input-file hashes, so a result can always be traced back
-to its exact inputs.  Report files contain no timestamps: identical
-invocations produce byte-identical files (timing is printed to stdout only).
+- ``test``: ``--kernel``, ``--alpha``, ``--oob``, ``--aug``, ``--bandwidths``;
+- ``simulate``: ``--setting``, ``--reps``, ``--n1p``, ``--n0p``, ``--n1``,
+  ``--n0``, ``--fix-prior``/``--no-fix-prior``, ``--truth-draws`` (fixed
+  prior only), ``--threads``, ``--kernel``, ``--alpha``, ``--seed``, ``--oob``;
+- ``oracle discrete``: ``--p-female``;
+- ``oracle lognormal``: ``--delta0``, ``--mc``, ``--seed``;
+- ``bandwidths``: none, as its recipe is the same for both kernels.
+
+Reports echo the kernel, alpha, seed and oob options a command takes, the
+bandwidths and the input-file hashes, so a result can be traced back to its
+exact inputs.  They contain no timestamps: identical invocations produce
+byte-identical files (timing is printed to stdout only).
 
 ``--config FILE`` reads ``key = value`` lines.  Each key must be a long
-option of the chosen subcommand (dashes or underscores); its value gets the
+option of the leaf subcommand (dashes or underscores); its value gets the
 same type, arity and choices check as the flag, and explicit flags win.
 """
 
@@ -34,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .data import load_study_csv, validate_paired
-from .errors import ConfigError, DegenerateSpread, SurrtestError, ZeroDenominator
+from .errors import ConfigError, SurrtestError, ZeroDenominator
 from .estimators import Method, estimate_suite, pte_ratio
 from .inference import check_alpha, wald_test
 from .oracles import (
@@ -68,15 +74,13 @@ _PROVENANCE = {
                 help="out-of-support policy (default: clamp, with counts reported)"),
 }
 
-_METHOD_ORDER = ("gold", "p", "h_pooled", "h_simple", "h_twostage", "h_aug")
-
 _METHOD_LABEL = {
-    "gold": "outcome contrast (gold standard)",
-    "p": "transported, covariate-ignoring",
-    "h_pooled": "transported, covariate-aware (pooled)",
-    "h_simple": "transported, covariate-aware (simple)",
-    "h_twostage": "transported, covariate-aware (twostage)",
-    "h_aug": "transported, covariate-aware (augmented)",
+    Method.GOLD: "outcome contrast (gold standard)",
+    Method.P: "transported, covariate-ignoring",
+    Method.H_POOLED: "transported, covariate-aware (pooled)",
+    Method.H_SIMPLE: "transported, covariate-aware (simple)",
+    Method.H_TWOSTAGE: "transported, covariate-aware (twostage)",
+    Method.H_AUG: "transported, covariate-aware (augmented)",
 }
 
 
@@ -141,13 +145,10 @@ def cmd_test(args) -> int:
     suite = estimate_suite(paired, bw, scfg)
     elapsed = time.perf_counter() - t0
 
-    wanted = ["h_pooled", "p"] + (["h_aug"] if args.aug else [])
+    wanted = [Method.H_POOLED, Method.P] + ([Method.H_AUG] if args.aug else [])
     if Method.GOLD in suite:
-        wanted.append("gold")
-    outcomes = {}
-    for name in wanted:
-        est = suite[Method(name)]
-        outcomes[name] = (est, wald_test(est, alpha=args.alpha))
+        wanted.append(Method.GOLD)
+    outcomes = {m: (suite[m], wald_test(suite[m], alpha=args.alpha)) for m in wanted}
 
     print(f"prior:   {args.prior_csv} (n1={prior.treated.n}, n0={prior.control.n})")
     print(f"current: {args.current_csv} (n1={current.treated.n}, n0={current.control.n})")
@@ -158,12 +159,12 @@ def cmd_test(args) -> int:
     header = f"{'method':<42} {'estimate':>10} {'se':>8} {'z':>8} {'p':>10} {'95% CI':>23} reject"
     print(header)
     rows = []
-    for name in _METHOD_ORDER:
-        if name not in outcomes:
+    for method in Method:
+        if method not in outcomes:
             continue
-        est, t = outcomes[name]
+        est, t = outcomes[method]
         ci = f"[{t.ci_lower:.4f}, {t.ci_upper:.4f}]"
-        print(f"{_METHOD_LABEL[name]:<42} {t.estimate:>10.4f} {t.se:>8.4f} "
+        print(f"{_METHOD_LABEL[method]:<42} {t.estimate:>10.4f} {t.se:>8.4f} "
               f"{t.z:>8.3f} {t.p_value:>10.3e} {ci:>23} {t.reject}")
         rows.append({"method": t.method, "estimate": t.estimate, "se": t.se,
                      "z": t.z, "p_value": t.p_value, "alpha": t.alpha,
@@ -190,8 +191,7 @@ def cmd_test(args) -> int:
         "diagnostics": {
             "support_overlap": paired.support_overlap,
             "warnings": list(paired.warnings),
-            "clamped_evaluations": {name: suite[Method(name)].n_clamped
-                                    for name in wanted},
+            "clamped_evaluations": {m.value: suite[m].n_clamped for m in wanted},
         },
         "results": rows,
         "pte_ratio": ratio,
@@ -203,10 +203,10 @@ def cmd_test(args) -> int:
 
 def simulation_rows(summary) -> list:
     rows = []
-    for name in _METHOD_ORDER:
-        m = summary.methods[name]
+    for method in Method:
+        m = summary.methods[method.value]
         rows.append({
-            "setting": summary.setting, "method": name,
+            "setting": summary.setting, "method": method.value,
             "mean_estimate": m.mean_estimate, "bias": m.bias,
             "bias_tilde": m.bias_tilde, "ese": m.ese, "ase": m.ase,
             "coverage": m.coverage, "coverage_tilde": m.coverage_tilde,
@@ -243,9 +243,9 @@ def cmd_simulate(args) -> int:
     header = (f"{'method':<42} {'estimate':>9} {'bias':>7} {'bias~':>7} "
               f"{'ESE':>7} {'ASE':>7} {'cov':>6} {'cov~':>6} {'effect':>8} {'power':>6}")
     print(header)
-    for name in _METHOD_ORDER:
-        m = summary.methods[name]
-        print(f"{_METHOD_LABEL[name]:<42} {m.mean_estimate:>9.3f} "
+    for method in Method:
+        m = summary.methods[method.value]
+        print(f"{_METHOD_LABEL[method]:<42} {m.mean_estimate:>9.3f} "
               f"{_fmt(m.bias, 3):>7} {_fmt(m.bias_tilde, 3):>7} "
               f"{m.ese:>7.3f} {m.ase:>7.3f} {_fmt(m.coverage, 3):>6} "
               f"{_fmt(m.coverage_tilde, 3):>6} {m.effect_size:>8.3f} {m.power:>6.3f}")
@@ -271,7 +271,7 @@ def cmd_simulate(args) -> int:
             "mean_h0": summary.mean_h0, "mean_h1": summary.mean_h1,
             "h2": summary.h2, "h3": summary.h3, "h4": summary.h4,
         },
-        "methods": {name: vars(summary.methods[name]) for name in _METHOD_ORDER},
+        "methods": {m.value: vars(summary.methods[m.value]) for m in Method},
         "se_ratio_pooled_simple": summary.se_ratio_pooled_simple,
         "n_failed": summary.n_failed,
         "clamped_evaluations": summary.clamped_evals,
@@ -280,63 +280,63 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle_discrete(args) -> int:
+    triple = discrete_example(DiscreteMix(p_female=args.p_female))
+    print(f"discrete benchmark at p_female={args.p_female}:")
+    print(f"  delta   = {triple.delta:.6f}")
+    print(f"  delta_p = {triple.delta_p:.6f}")
+    print(f"  delta_h = {triple.delta_h:.6f}")
+    print(f"note: {DISCRETE_DELTA_P_NOTE}")
+    rows = [{"quantity": name, "value": val, "se": None, "source": "analytic"}
+            for name, val in vars(triple).items()]
     report = _common_report(args, "oracle")
-    rows = []
-    if args.which == "discrete":
-        mix = DiscreteMix(p_female=args.p_female)
-        triple = discrete_example(mix)
-        print(f"discrete benchmark at p_female={args.p_female}:")
-        print(f"  delta   = {triple.delta:.6f}")
-        print(f"  delta_p = {triple.delta_p:.6f}")
-        print(f"  delta_h = {triple.delta_h:.6f}")
-        print(f"note: {DISCRETE_DELTA_P_NOTE}")
-        for name, val in (("delta", triple.delta), ("delta_p", triple.delta_p),
-                          ("delta_h", triple.delta_h)):
-            rows.append({"quantity": name, "value": val, "se": None,
-                         "source": "analytic"})
-        report.update({
-            "which": "discrete", "p_female": args.p_female,
-            "analytic": vars(triple), "note": DISCRETE_DELTA_P_NOTE,
-        })
-    else:
-        triple = lognormal_counterexample_analytic(args.delta0)
-        linearized = lognormal_delta_p_linearized(args.delta0)
-        mc = lognormal_counterexample_mc(args.delta0, args.mc, master_seed=args.seed)
-        agree = {
-            "delta": abs(mc.delta - triple.delta) <= 3 * mc.delta_se,
-            "delta_h": abs(mc.delta_h - triple.delta_h) <= 3 * mc.delta_h_se,
-            "delta_p_exponential": abs(mc.delta_p - triple.delta_p) <= 3 * mc.delta_p_se,
-            "delta_p_linearized": abs(mc.delta_p - linearized) <= 3 * mc.delta_p_se,
-        }
-        print(f"lognormal benchmark at delta0={args.delta0} (mc n={args.mc}):")
-        print(f"  {'quantity':<22} {'analytic':>12} {'mc':>12} {'mc se':>10} agreement")
-        print(f"  {'delta':<22} {triple.delta:>12.5f} {mc.delta:>12.5f} "
-              f"{mc.delta_se:>10.5f} {agree['delta']}")
-        print(f"  {'delta_h':<22} {triple.delta_h:>12.5f} {mc.delta_h:>12.5f} "
-              f"{mc.delta_h_se:>10.5f} {agree['delta_h']}")
-        print(f"  {'delta_p (exponential)':<22} {triple.delta_p:>12.5f} {mc.delta_p:>12.5f} "
-              f"{mc.delta_p_se:>10.5f} {agree['delta_p_exponential']}")
-        print(f"  {'delta_p (linearized)':<22} {linearized:>12.5f} {mc.delta_p:>12.5f} "
-              f"{mc.delta_p_se:>10.5f} {agree['delta_p_linearized']}")
-        verdict = ("exponential form confirmed"
-                   if agree["delta_p_exponential"] and not agree["delta_p_linearized"]
-                   else "adjudication inconclusive")
-        print(f"verdict: {verdict}")
-        rows = [
-            {"quantity": "delta", "value": triple.delta, "se": None, "source": "analytic"},
-            {"quantity": "delta_p", "value": triple.delta_p, "se": None, "source": "analytic"},
-            {"quantity": "delta_p", "value": linearized, "se": None, "source": "linearized-variant"},
-            {"quantity": "delta_h", "value": triple.delta_h, "se": None, "source": "analytic"},
-            {"quantity": "delta", "value": mc.delta, "se": mc.delta_se, "source": "mc"},
-            {"quantity": "delta_p", "value": mc.delta_p, "se": mc.delta_p_se, "source": "mc"},
-            {"quantity": "delta_h", "value": mc.delta_h, "se": mc.delta_h_se, "source": "mc"},
-        ]
-        report.update({
-            "which": "lognormal", "delta0": args.delta0, "mc_draws": args.mc,
-            "analytic": vars(triple), "delta_p_linearized": linearized,
-            "mc": vars(mc), "agreement": agree, "verdict": verdict,
-        })
+    report.update({
+        "which": "discrete", "p_female": args.p_female,
+        "analytic": vars(triple), "note": DISCRETE_DELTA_P_NOTE,
+    })
+    _write_outputs(args.out, report, rows)
+    return 0
+
+
+def cmd_oracle_lognormal(args) -> int:
+    triple = lognormal_counterexample_analytic(args.delta0)
+    linearized = lognormal_delta_p_linearized(args.delta0)
+    mc = lognormal_counterexample_mc(args.delta0, args.mc, master_seed=args.seed)
+    agree = {
+        "delta": abs(mc.delta - triple.delta) <= 3 * mc.delta_se,
+        "delta_h": abs(mc.delta_h - triple.delta_h) <= 3 * mc.delta_h_se,
+        "delta_p_exponential": abs(mc.delta_p - triple.delta_p) <= 3 * mc.delta_p_se,
+        "delta_p_linearized": abs(mc.delta_p - linearized) <= 3 * mc.delta_p_se,
+    }
+    print(f"lognormal benchmark at delta0={args.delta0} (mc n={args.mc}):")
+    print(f"  {'quantity':<22} {'analytic':>12} {'mc':>12} {'mc se':>10} agreement")
+    print(f"  {'delta':<22} {triple.delta:>12.5f} {mc.delta:>12.5f} "
+          f"{mc.delta_se:>10.5f} {agree['delta']}")
+    print(f"  {'delta_h':<22} {triple.delta_h:>12.5f} {mc.delta_h:>12.5f} "
+          f"{mc.delta_h_se:>10.5f} {agree['delta_h']}")
+    print(f"  {'delta_p (exponential)':<22} {triple.delta_p:>12.5f} {mc.delta_p:>12.5f} "
+          f"{mc.delta_p_se:>10.5f} {agree['delta_p_exponential']}")
+    print(f"  {'delta_p (linearized)':<22} {linearized:>12.5f} {mc.delta_p:>12.5f} "
+          f"{mc.delta_p_se:>10.5f} {agree['delta_p_linearized']}")
+    verdict = ("exponential form confirmed"
+               if agree["delta_p_exponential"] and not agree["delta_p_linearized"]
+               else "adjudication inconclusive")
+    print(f"verdict: {verdict}")
+    rows = [
+        {"quantity": "delta", "value": triple.delta, "se": None, "source": "analytic"},
+        {"quantity": "delta_p", "value": triple.delta_p, "se": None, "source": "analytic"},
+        {"quantity": "delta_p", "value": linearized, "se": None, "source": "linearized-variant"},
+        {"quantity": "delta_h", "value": triple.delta_h, "se": None, "source": "analytic"},
+        {"quantity": "delta", "value": mc.delta, "se": mc.delta_se, "source": "mc"},
+        {"quantity": "delta_p", "value": mc.delta_p, "se": mc.delta_p_se, "source": "mc"},
+        {"quantity": "delta_h", "value": mc.delta_h, "se": mc.delta_h_se, "source": "mc"},
+    ]
+    report = _common_report(args, "oracle")
+    report.update({
+        "which": "lognormal", "delta0": args.delta0, "mc_draws": args.mc,
+        "analytic": vars(triple), "delta_p_linearized": linearized,
+        "mc": vars(mc), "agreement": agree, "verdict": verdict,
+    })
     _write_outputs(args.out, report, rows)
     return 0
 
@@ -350,17 +350,13 @@ def cmd_bandwidths(args) -> int:
     for rule in BANDWIDTH_RECIPE:
         arm = rule.arm_of(paired)
         values = getattr(arm, rule.variable)
-        variable = f"{rule.study} {rule.arm} {rule.variable}"
         sd = float(np.std(values, ddof=1))
         q25, q75 = np.quantile(values, [0.25, 0.75])
         iqr = float(q75 - q25)
-        try:
-            h = rule.resolve(arm)
-        except DegenerateSpread as exc:
-            raise DegenerateSpread(f"{rule.name} ({variable}): {exc}") from None
-        print(f"{rule.name:<5} {h:>10.5f} {variable:<18} {sd:>9.4f} {iqr:>9.4f} "
+        h = rule.resolve(arm)
+        print(f"{rule.name:<5} {h:>10.5f} {rule.label:<18} {sd:>9.4f} {iqr:>9.4f} "
               f"{arm.n:>6} {rule.exponent:>9} {rule.multiplier:>10}")
-        rows.append({"name": rule.name, "value": h, "variable": variable,
+        rows.append({"name": rule.name, "value": h, "variable": rule.label,
                      "sd": sd, "iqr": iqr, "n": arm.n, "exponent": rule.exponent,
                      "multiplier": rule.multiplier})
 
@@ -458,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--no-fix-prior", dest="fix_prior", action="store_false",
                        help="redraw the prior study every replication")
     p_sim.add_argument("--truth-draws", type=int, default=10**6,
-                       help="Monte-Carlo draws for the fixed-surface target")
+                       help="Monte-Carlo draws for the fixed-surface target "
+                            "(acts only with --fix-prior)")
     p_sim.add_argument("--threads", type=int, default=1,
                        help="worker threads for the replications")
     _add_common(p_sim, "kernel", "alpha", "seed", "oob")
@@ -466,15 +463,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_or = sub.add_parser("oracle", allow_abbrev=False,
                           help="closed-form benchmark values")
-    p_or.add_argument("which", choices=["discrete", "lognormal"])
-    p_or.add_argument("--p-female", type=float, default=0.5,
-                      help="mix for the discrete benchmark")
-    p_or.add_argument("--delta0", type=float, default=0.5,
-                      help="effect parameter for the lognormal benchmark")
-    p_or.add_argument("--mc", type=int, default=10**6,
-                      help="Monte-Carlo draws for adjudication")
-    _add_common(p_or, "seed")
-    p_or.set_defaults(func=cmd_oracle)
+    which = p_or.add_subparsers(dest="which", required=True)
+    p_disc = which.add_parser("discrete", allow_abbrev=False, help="discrete sex mix")
+    p_disc.add_argument("--p-female", type=float, default=0.5,
+                        help="share of the current study in the female stratum")
+    _add_common(p_disc)
+    p_disc.set_defaults(func=cmd_oracle_discrete)
+    p_logn = which.add_parser("lognormal", allow_abbrev=False, help="lognormal counterexample")
+    p_logn.add_argument("--delta0", type=float, default=0.5,
+                        help="effect parameter for the lognormal benchmark")
+    p_logn.add_argument("--mc", type=int, default=10**6,
+                        help="Monte-Carlo draws for adjudication")
+    _add_common(p_logn, "seed")
+    p_logn.set_defaults(func=cmd_oracle_lognormal)
 
     p_bw = sub.add_parser("bandwidths", allow_abbrev=False,
                           help="show resolved bandwidths")
@@ -487,27 +488,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse `argv`, reading a --config file as the subcommand's own tokens.
+    """Parse `argv`, reading a --config file as the leaf subcommand's own tokens.
 
-    The config tokens go in front of the typed ones, so an explicit flag
-    wins by argparse's last-one-wins.  Errors in the config file raise
-    ConfigError; errors in typed flags exit 2 as argparse does.
+    The config tokens go right after the leaf's name, in front of the typed
+    ones, so an explicit flag wins by argparse's last-one-wins.  Errors in the
+    config file raise ConfigError; errors in typed flags exit 2 as argparse does.
     """
     argv = list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    (subparsers,) = (a for a in parser._actions
-                     if isinstance(a, argparse._SubParsersAction))
-    sub = subparsers.choices[args.subcommand]
+    sub, at = parser, 0
+    while sub._subparsers is not None:
+        (action,) = (a for a in sub._actions if isinstance(a, argparse._SubParsersAction))
+        name = getattr(args, action.dest)
+        sub, at = action.choices[name], argv.index(name, at) + 1
     tokens = _config_tokens(sub, args.config)
 
     def config_error(message):  # the typed tokens parsed alone, so it is the file's
         raise ConfigError(f"{args.config}: {message}")
 
     sub.error = config_error
-    at = argv.index(args.subcommand) + 1
     return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 

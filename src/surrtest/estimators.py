@@ -44,11 +44,13 @@ __all__ = [
 
 
 class Method(enum.Enum):
+    """The estimators, declared in report order."""
+
     GOLD = "gold"
     P = "p"
+    H_POOLED = "h_pooled"
     H_SIMPLE = "h_simple"
     H_TWOSTAGE = "h_twostage"
-    H_POOLED = "h_pooled"
     H_AUG = "h_aug"
 
 

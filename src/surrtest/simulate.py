@@ -44,15 +44,9 @@ from scipy.special import ndtri
 
 from .data import StudyArm, TwoArmStudy, validate_paired
 from .errors import ConfigError, OutOfSupport, UnknownSetting
-from .estimators import Method, Mu0Surface, estimate_suite
+from .estimators import Method, Mu0Surface, estimate_suite, fit_mu0_surface
 from .inference import check_alpha, normal_quantile
-from .smoothing import (
-    BANDWIDTH_RECIPE,
-    KernelKind,
-    OobPolicy,
-    SmoothingConfig,
-    default_bandwidths,
-)
+from .smoothing import KernelKind, OobPolicy, SmoothingConfig, default_bandwidths
 
 __all__ = [
     "SimConfig",
@@ -202,8 +196,6 @@ def true_deltas(setting: int) -> tuple:
     dm = law.treated.s_mean - law.control.s_mean
     ctl = law.control
     delta_h = dm * (p_low * ctl.low_slope + (1.0 - p_low) * ctl.high_slope)
-    if setting in (7, 8):
-        return 0.0, 0.0
     return delta, delta_h
 
 
@@ -305,8 +297,9 @@ def _bias(mean_est: float, target: float) -> float:
     return abs(mean_est - target) / abs(target)
 
 
-_RECORDED = (Method.GOLD, Method.P, Method.H_POOLED, Method.H_SIMPLE,
-             Method.H_TWOSTAGE, Method.H_AUG)
+def _coverage(est: np.ndarray, se: np.ndarray, q: float, target: float) -> float:
+    """Share of the intervals est +- q*se that contain `target`."""
+    return float(((est - q * se <= target) & (target <= est + q * se)).mean())
 
 
 def _one_replication(cfg: SimConfig, rep: int, prior: Optional[TwoArmStudy],
@@ -338,14 +331,11 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
     if cfg.fix_prior:
         prior = generate_setting(cfg.setting, "prior", cfg.n1p, cfg.n0p,
                                  cfg.master_seed, rep=0)
-        # The tilde target needs the surface the replications will use; its
-        # bandwidths h2/h3 depend only on the prior control arm.
-        pc = prior.control
-        rules = {rule.name: rule for rule in BANDWIDTH_RECIPE}
-        surface = Mu0Surface(
-            s=pc.s, w=pc.w, y=pc.y,
-            h_s=rules["h2"].resolve(pc), h_w=rules["h3"].resolve(pc),
-            kernel=scfg.kernel, cfg=scfg)
+        # The tilde target needs the replications' surface; h2/h3 read only
+        # the prior control arm, so pairing the prior with itself resolves them.
+        paired = validate_paired(prior, prior)
+        surface = fit_mu0_surface(paired, default_bandwidths(paired, scfg.kernel),
+                                  scfg.kernel, scfg)
         tilde = tilde_delta_h(surface, cfg.setting, cfg.truth_mc_draws, cfg.master_seed)
 
     results = [None] * cfg.reps
@@ -374,7 +364,7 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
     q = normal_quantile(1.0 - cfg.alpha / 2.0)
 
     methods = {}
-    for method in _RECORDED:
+    for method in Method:
         est = np.array([suite[method].estimate for suite, _ in ok])
         se = np.array([suite[method].se for suite, _ in ok])
         mean_est = float(est.mean())
@@ -386,16 +376,13 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
         bias = bias_t = cov = cov_t = None
         if method is Method.GOLD:
             bias = _bias(mean_est, truth_delta)
-            cov = float(((est - q * se <= truth_delta)
-                         & (truth_delta <= est + q * se)).mean())
+            cov = _coverage(est, se, q, truth_delta)
         elif method is not Method.P:
             bias = _bias(mean_est, truth_delta_h)
-            cov = float(((est - q * se <= truth_delta_h)
-                         & (truth_delta_h <= est + q * se)).mean())
+            cov = _coverage(est, se, q, truth_delta_h)
             if not math.isnan(tilde):
                 bias_t = _bias(mean_est, tilde)
-                cov_t = float(((est - q * se <= tilde)
-                               & (tilde <= est + q * se)).mean())
+                cov_t = _coverage(est, se, q, tilde)
         methods[method.value] = MethodSummary(
             method=method.value, mean_estimate=mean_est, ese=ese, ase=ase,
             effect_size=effect, power=power, bias=bias, bias_tilde=bias_t,

@@ -129,10 +129,18 @@ class BandwidthRule(NamedTuple):
         """The study arm this bandwidth is computed from."""
         return getattr(getattr(paired, self.study), self.arm)
 
+    @property
+    def label(self) -> str:
+        """The variable feeding this bandwidth, e.g. "prior control s"."""
+        return f"{self.study} {self.arm} {self.variable}"
+
     def resolve(self, arm) -> float:
-        """Rule-of-thumb bandwidth from `arm`'s variable."""
-        return rule_of_thumb_bandwidth(getattr(arm, self.variable),
-                                       self.exponent, self.multiplier)
+        """Rule-of-thumb bandwidth from `arm`'s variable; a DegenerateSpread names it."""
+        try:
+            return rule_of_thumb_bandwidth(getattr(arm, self.variable),
+                                           self.exponent, self.multiplier)
+        except DegenerateSpread as exc:
+            raise DegenerateSpread(f"{self.name} ({self.label}): {exc}") from None
 
 
 # All rate exponents sit in the undersmoothing window (1/4, 1/2); the

@@ -207,8 +207,8 @@ def test_oracle_discrete(tmp_path, capsys):
     assert report["analytic"]["delta_p"] == pytest.approx(44.5, abs=1e-12)
     assert report["analytic"]["delta_h"] == pytest.approx(17.95, abs=1e-12)
     assert "44.05" in report["note"]
-    assert report["seed"] == 1
-    assert not {"kernel", "alpha", "oob"} & set(report)
+    # closed forms draw nothing, so no seed is taken or echoed
+    assert not {"kernel", "alpha", "seed", "oob"} & set(report)
     header, rows = csv_rows(out)
     assert len(rows) == 3
 
@@ -282,11 +282,11 @@ def test_bandwidths_constant_marker_names_column(csv_pair, tmp_path, capsys):
         control=arm)
     path = tmp_path / "degenerate.csv"
     write_study_csv(degenerate, path)
-    code, _, err = run_cli(["bandwidths", str(path),
-                            str(csv_pair / "current.csv"),
-                            "--out", str(tmp_path / "o")], capsys)
-    assert code == 1
-    assert "prior control s" in err
+    for command in ("bandwidths", "test"):
+        code, _, err = run_cli([command, str(path), str(csv_pair / "current.csv"),
+                                "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert "DegenerateSpread" in err and "h2 (prior control s)" in err
 
 
 def test_gaussian_kernel_echoed(csv_pair, tmp_path, capsys):
@@ -337,16 +337,20 @@ def test_config_file_can_supply_setting(tmp_path, capsys):
 
 
 def test_config_file_matches_flags_byte_for_byte(csv_pair, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 0.01\nkernel = gaussian\naug = yes\n")
     inputs = [str(csv_pair / "prior.csv"), str(csv_pair / "current.csv")]
-    via_config, via_flags = tmp_path / "c", tmp_path / "f"
-    assert run_cli(["test", *inputs, "--config", str(cfg),
-                    "--out", str(via_config)], capsys)[0] == 0
-    assert run_cli(["test", *inputs, "--alpha", "0.01", "--kernel", "gaussian",
-                    "--aug", "--out", str(via_flags)], capsys)[0] == 0
-    for name in ("report.json", "summary.csv"):
-        assert (via_config / name).read_bytes() == (via_flags / name).read_bytes()
+    for i, (command, text, flags) in enumerate([
+            (["test", *inputs], "alpha = 0.01\nkernel = gaussian\naug = yes\n",
+             ["--alpha", "0.01", "--kernel", "gaussian", "--aug"]),
+            (["oracle", "lognormal"], "delta0 = 0.8\nmc = 20000\nseed = 3\n",
+             ["--delta0", "0.8", "--mc", "20000", "--seed", "3"])]):
+        cfg = tmp_path / f"run{i}.cfg"
+        cfg.write_text(text)
+        via_config, via_flags = tmp_path / f"c{i}", tmp_path / f"f{i}"
+        assert run_cli([*command, "--config", str(cfg),
+                        "--out", str(via_config)], capsys)[0] == 0
+        assert run_cli([*command, *flags, "--out", str(via_flags)], capsys)[0] == 0
+        for name in ("report.json", "summary.csv"):
+            assert (via_config / name).read_bytes() == (via_flags / name).read_bytes()
 
 
 @pytest.mark.parametrize("command, line, key", [
@@ -356,8 +360,11 @@ def test_config_file_matches_flags_byte_for_byte(csv_pair, tmp_path, capsys):
     (["test", "{prior}", "{current}"], "bandwidths = 1 2 3", "bandwidths"),
     (["bandwidths", "{prior}", "{current}"], "kernel = gaussian", "kernel"),
     (["oracle", "discrete"], "alpha = 0.1", "alpha"),
+    (["oracle", "discrete"], "seed = 3", "seed"),
+    (["oracle", "lognormal"], "p_female = 0.1", "p_female"),
 ], ids=["bogus", "threads-to-bandwidths", "bandwidths-to-simulate",
-        "bandwidths-arity", "kernel-to-bandwidths", "alpha-to-oracle"])
+        "bandwidths-arity", "kernel-to-bandwidths", "alpha-to-oracle",
+        "seed-to-oracle-discrete", "p-female-to-oracle-lognormal"])
 def test_config_file_rejects_unknown_key(csv_pair, tmp_path, capsys,
                                          command, line, key):
     cfg = tmp_path / "run.cfg"
@@ -411,6 +418,10 @@ def test_typed_flag_errors_keep_argparse_exit(tmp_path, capsys):
                  ["oracle", "discrete", "--kernel", "gaussian"],
                  ["oracle", "discrete", "--alpha", "0.1"],
                  ["oracle", "discrete", "--oob", "error"],
+                 ["oracle", "discrete", "--seed", "3"],
+                 ["oracle", "discrete", "--mc", "2000"],
+                 ["oracle", "discrete", "--delta0", "1"],
+                 ["oracle", "lognormal", "--p-female", "0.1"],
                  ["bandwidths", "p.csv", "c.csv", "--kernel", "gaussian"],
                  ["bandwidths", "p.csv", "c.csv", "--alpha", "0.1"],
                  ["bandwidths", "p.csv", "c.csv", "--seed", "3"],

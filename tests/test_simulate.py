@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from surrtest import simulate
 from surrtest.errors import ConfigError, OutOfSupport, UnknownSetting
 from surrtest.estimators import Mu0Surface
 from surrtest.simulate import (
@@ -187,6 +188,24 @@ def test_refreshed_prior_mode():
     assert s.methods["h_pooled"].bias_tilde is None
     assert s.methods["h_pooled"].coverage_tilde is None
     assert s.methods["h_pooled"].bias is not None
+
+
+def test_tilde_surface_uses_replication_bandwidths(monkeypatch):
+    # the fixed-prior tilde target must come from the surface every
+    # replication transports through: same h2/h3, same kernel
+    seen = []
+
+    def capture(surface, *args):
+        seen.append(surface)
+        return tilde_delta_h(surface, *args)
+
+    monkeypatch.setattr(simulate, "tilde_delta_h", capture)
+    for kernel in KernelKind:
+        s = run_simulation(SimConfig(setting=1, kernel=kernel, **FAST))
+        surface = seen.pop()
+        assert (surface.h_s, surface.h_w) == (s.h2, s.h3)
+        assert surface.cfg.kernel is kernel
+    assert not seen
 
 
 def test_error_policy_fails_on_tail_extrapolation():
