@@ -5,6 +5,7 @@ replicates the current study many times. The summary aggregates each
 method's mean estimate, standard errors, coverage, and power. Sizes here
 are cut down so the demo runs in seconds; the defaults mirror a full study.
 """
+from surrtest.estimators import Method
 from surrtest.simulate import SimConfig, run_simulation
 
 cfg = SimConfig(
@@ -23,10 +24,10 @@ print(f"true effect {summary.truth_delta:.4f}, transported-scale target "
       f"{summary.truth_tilde_delta_h:.4f}")
 
 print(f"\n{'method':<12} {'mean':>8} {'ESE':>7} {'ASE':>7} {'cover':>6} {'power':>6}")
-for name in ("gold", "p", "h_pooled", "h_simple", "h_twostage", "h_aug"):
-    m = summary.methods[name]
+for method in Method:
+    m = summary.methods[method.value]
     cov = "" if m.coverage is None else f"{m.coverage:.3f}"
-    print(f"{name:<12} {m.mean_estimate:>8.3f} {m.ese:>7.3f} {m.ase:>7.3f} "
+    print(f"{method.value:<12} {m.mean_estimate:>8.3f} {m.ese:>7.3f} {m.ase:>7.3f} "
           f"{cov:>6} {m.power:>6.3f}")
 
 # the pooled second stage buys its efficiency on the reported SEs

@@ -23,7 +23,6 @@ from .errors import (
     EmptyArm,
     InvalidTreatmentCode,
     MissingColumn,
-    MissingOutcome,
     MissingPriorOutcome,
     MixedOutcomePresence,
     NonFiniteValue,

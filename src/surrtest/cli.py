@@ -36,8 +36,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import load_study_csv, validate_paired
 from .errors import ConfigError, SurrtestError, ZeroDenominator
@@ -59,6 +57,7 @@ from .smoothing import (
     OobPolicy,
     SmoothingConfig,
     default_bandwidths,
+    sample_spread,
 )
 
 # the options that set a result, with their argparse settings; each
@@ -101,14 +100,13 @@ def _write_outputs(out_dir, report: dict, rows: list) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
+        # csv writes None as an empty cell and a float by its shortest repr
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: "" if v is None else repr(v) if isinstance(v, float) else v
-                             for k, v in row.items()})
+        writer.writerows(rows)
     print(f"wrote {out / 'report.json'} and {out / 'summary.csv'}")
 
 
@@ -202,22 +200,13 @@ def cmd_test(args) -> int:
 
 
 def simulation_rows(summary) -> list:
-    rows = []
-    for method in Method:
-        m = summary.methods[method.value]
-        rows.append({
-            "setting": summary.setting, "method": method.value,
-            "mean_estimate": m.mean_estimate, "bias": m.bias,
-            "bias_tilde": m.bias_tilde, "ese": m.ese, "ase": m.ase,
-            "coverage": m.coverage, "coverage_tilde": m.coverage_tilde,
-            "effect_size": m.effect_size, "power": m.power,
-            "truth_delta": summary.truth_delta,
-            "truth_delta_h": summary.truth_delta_h,
-            "truth_tilde_delta_h": summary.truth_tilde_delta_h,
-            "se_ratio_pooled_simple": summary.se_ratio_pooled_simple,
-            "reps": summary.reps, "n_failed": summary.n_failed,
-        })
-    return rows
+    """One summary.csv row per method: the setting, the MethodSummary fields
+    and the campaign-level columns."""
+    campaign = {key: getattr(summary, key) for key in (
+        "truth_delta", "truth_delta_h", "truth_tilde_delta_h",
+        "se_ratio_pooled_simple", "reps", "n_failed")}
+    return [{"setting": summary.setting, **vars(summary.methods[m.value]), **campaign}
+            for m in Method]
 
 
 def cmd_simulate(args) -> int:
@@ -239,7 +228,7 @@ def cmd_simulate(args) -> int:
           f"seed={cfg.master_seed} kernel={args.kernel} oob={args.oob}")
     print(f"truth: delta={summary.truth_delta:.4f} "
           f"delta_h={summary.truth_delta_h:.4f} "
-          f"tilde_delta_h={summary.truth_tilde_delta_h:.4f}")
+          f"tilde_delta_h={_fmt(summary.truth_tilde_delta_h)}")
     header = (f"{'method':<42} {'estimate':>9} {'bias':>7} {'bias~':>7} "
               f"{'ESE':>7} {'ASE':>7} {'cov':>6} {'cov~':>6} {'effect':>8} {'power':>6}")
     print(header)
@@ -349,11 +338,8 @@ def cmd_bandwidths(args) -> int:
           f"{'n':>6} {'exponent':>9} {'multiplier':>10}")
     for rule in BANDWIDTH_RECIPE:
         arm = rule.arm_of(paired)
-        values = getattr(arm, rule.variable)
-        sd = float(np.std(values, ddof=1))
-        q25, q75 = np.quantile(values, [0.25, 0.75])
-        iqr = float(q75 - q25)
-        h = rule.resolve(arm)
+        h = rule.resolve(arm)  # first: it rejects a sample with no spread
+        sd, iqr = sample_spread(getattr(arm, rule.variable))
         print(f"{rule.name:<5} {h:>10.5f} {rule.label:<18} {sd:>9.4f} {iqr:>9.4f} "
               f"{arm.n:>6} {rule.exponent:>9} {rule.multiplier:>10}")
         rows.append({"name": rule.name, "value": h, "variable": rule.label,

@@ -100,14 +100,14 @@ class PairedStudies:
     warnings: tuple = field(default_factory=tuple)
 
 
-def _parse_float(cell: str, column: str, line_no: int) -> float:
+def _parse_float(cell: str, column: str, path, line_no: int) -> float:
     try:
         v = float(cell)
     except (TypeError, ValueError):
         raise NonFiniteValue(
-            f"line {line_no}: cannot parse {column}={cell!r} as a number") from None
+            f"{path} line {line_no}: cannot parse {column}={cell!r} as a number") from None
     if not np.isfinite(v):
-        raise NonFiniteValue(f"line {line_no}: non-finite {column}={cell!r}")
+        raise NonFiniteValue(f"{path} line {line_no}: non-finite {column}={cell!r}")
     return v
 
 
@@ -124,7 +124,8 @@ def load_study_csv(path) -> TwoArmStudy:
                 raise MissingColumn(f"{path}: required column {key!r} missing")
         has_y_col = "y" in header
 
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num  # the physical line: blank lines count
             z_raw = (row.get("z") or "").strip()
             try:
                 z_val = float(z_raw)
@@ -135,13 +136,13 @@ def load_study_csv(path) -> TwoArmStudy:
                 raise InvalidTreatmentCode(
                     f"{path} line {line_no}: treatment code must be 0 or 1, got {z_raw!r}")
             g = int(z_val)
-            rows[g]["s"].append(_parse_float(row.get("s"), "s", line_no))
-            rows[g]["w"].append(_parse_float(row.get("w"), "w", line_no))
+            rows[g]["s"].append(_parse_float(row.get("s"), "s", path, line_no))
+            rows[g]["w"].append(_parse_float(row.get("w"), "w", path, line_no))
             if has_y_col:
                 y_cell = row.get("y")
                 y_cell = y_cell.strip() if y_cell is not None else ""
                 rows[g]["y"].append(
-                    None if y_cell == "" else _parse_float(y_cell, "y", line_no))
+                    None if y_cell == "" else _parse_float(y_cell, "y", path, line_no))
 
     arms = {}
     for g in (1, 0):

@@ -41,10 +41,6 @@ class MissingPriorOutcome(DataError):
     """The prior study's control arm lacks outcome values."""
 
 
-class MissingOutcome(DataError):
-    """An operation needs outcome values the arm does not carry."""
-
-
 class NonPositiveBandwidth(ConfigError):
     """Bandwidth must be strictly positive and finite."""
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PairedStudies
-from .errors import MissingOutcome, ZeroDenominator
+from .errors import MissingPriorOutcome, ZeroDenominator
 from .smoothing import (
     Bandwidths,
     KernelKind,
@@ -97,7 +97,7 @@ def fit_mu0_surface(paired: PairedStudies, bw: Bandwidths,
                     kernel: KernelKind, cfg: SmoothingConfig) -> Mu0Surface:
     arm = paired.prior.control
     if not arm.has_outcome:
-        raise MissingOutcome("prior control arm has no outcomes; cannot fit surface")
+        raise MissingPriorOutcome("prior control arm has no outcomes; cannot fit surface")
     return Mu0Surface(s=arm.s, w=arm.w, y=arm.y,
                       h_s=bw.h2, h_w=bw.h3, kernel=kernel, cfg=cfg)
 

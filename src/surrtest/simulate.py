@@ -34,9 +34,9 @@ mean a and *variance* b; gamma means are shape*scale):
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -45,7 +45,7 @@ from scipy.special import ndtri
 from .data import StudyArm, TwoArmStudy, validate_paired
 from .errors import ConfigError, OutOfSupport, UnknownSetting
 from .estimators import Method, Mu0Surface, estimate_suite, fit_mu0_surface
-from .inference import check_alpha, normal_quantile
+from .inference import check_alpha, wald_test
 from .smoothing import KernelKind, OobPolicy, SmoothingConfig, default_bandwidths
 
 __all__ = [
@@ -251,24 +251,26 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class MethodSummary:
-    """Aggregates for one estimator across replications.
+    """Aggregates for one estimator across replications, in summary.csv order.
 
-    bias fields are relative to their truth target except when that target
-    is zero (null settings), where they are absolute.  Fields are None when
-    no truth target applies to the method (for example coverage for the
-    covariate-ignoring estimator, whose population target is not tracked).
+    Power, coverage and effect size score each replication by its Wald test
+    at the campaign's alpha.  bias fields are relative to their truth target
+    except when that target is zero (null settings), where they are
+    absolute.  Fields are None when no truth target applies to the method
+    (for example coverage for the covariate-ignoring estimator, whose
+    population target is not tracked).
     """
 
     method: str
     mean_estimate: float
+    bias: Optional[float]
+    bias_tilde: Optional[float]
     ese: float
     ase: float
+    coverage: Optional[float]
+    coverage_tilde: Optional[float]
     effect_size: float
     power: float
-    bias: Optional[float] = None
-    bias_tilde: Optional[float] = None
-    coverage: Optional[float] = None
-    coverage_tilde: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -280,30 +282,32 @@ class SimulationSummary:
     n_failed: int
     truth_delta: float
     truth_delta_h: float
-    truth_tilde_delta_h: float  # NaN when the prior is redrawn each rep
-    methods: dict = field(default_factory=dict)  # method name -> MethodSummary
-    se_ratio_pooled_simple: float = float("nan")  # mean reported SE, pooled over simple
-    mean_h0: float = float("nan")
-    mean_h1: float = float("nan")
-    h2: float = float("nan")
-    h3: float = float("nan")
-    h4: float = float("nan")
-    clamped_evals: int = 0
+    truth_tilde_delta_h: Optional[float]  # None when the prior is redrawn each rep
+    methods: dict  # method name -> MethodSummary
+    se_ratio_pooled_simple: float  # mean reported SE, pooled over simple
+    mean_h0: float
+    mean_h1: float
+    h2: float
+    h3: float
+    h4: float
+    clamped_evals: int
 
 
-def _bias(mean_est: float, target: float) -> float:
-    if target == 0.0:
-        return abs(mean_est)
-    return abs(mean_est - target) / abs(target)
+def _bias_and_coverage(tests: list, mean_est: float, target: Optional[float]) -> tuple:
+    """(bias, coverage) of one method's Wald tests against `target`.
+
+    Coverage is the share of intervals containing the target; both are None
+    without a target.
+    """
+    if target is None:
+        return None, None
+    bias = abs(mean_est) if target == 0.0 else abs(mean_est - target) / abs(target)
+    return bias, float(np.mean([t.ci_lower <= target <= t.ci_upper for t in tests]))
 
 
-def _coverage(est: np.ndarray, se: np.ndarray, q: float, target: float) -> float:
-    """Share of the intervals est +- q*se that contain `target`."""
-    return float(((est - q * se <= target) & (target <= est + q * se)).mean())
-
-
-def _one_replication(cfg: SimConfig, rep: int, prior: Optional[TwoArmStudy],
-                     scfg: SmoothingConfig):
+def _one_replication(cfg: SimConfig, prior: Optional[TwoArmStudy],
+                     scfg: SmoothingConfig, rep: int):
+    """Replication `rep`'s (suite, bandwidths), or the OutOfSupport that stopped it."""
     if prior is None:  # sensitivity mode: fresh prior every replication
         prior = generate_setting(cfg.setting, "prior", cfg.n1p, cfg.n0p,
                                  cfg.master_seed, rep=rep)
@@ -311,8 +315,10 @@ def _one_replication(cfg: SimConfig, rep: int, prior: Optional[TwoArmStudy],
                                cfg.master_seed, rep=rep)
     paired = validate_paired(prior, current)
     bw = default_bandwidths(paired, scfg.kernel)
-    suite = estimate_suite(paired, bw, scfg)
-    return suite, bw
+    try:
+        return estimate_suite(paired, bw, scfg), bw
+    except OutOfSupport as exc:
+        return exc
 
 
 def run_simulation(cfg: SimConfig) -> SimulationSummary:
@@ -320,14 +326,15 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
 
     With fix_prior (the default) one prior study is drawn from the master
     seed, one surface is implied, and the tilde target is computed once by
-    Monte Carlo before any replication runs.  Aggregation reads per-rep slots
-    in index order, so the result is identical for any thread count.
+    Monte Carlo before any replication runs.  Each replication draws from its
+    own streams and its record keeps its index, in a serial loop or, with
+    threads > 1, a thread pool; the result is identical for any thread count.
     """
     scfg = cfg.smoothing()
     truth_delta, truth_delta_h = true_deltas(cfg.setting)
 
     prior = None
-    tilde = float("nan")
+    tilde = None
     if cfg.fix_prior:
         prior = generate_setting(cfg.setting, "prior", cfg.n1p, cfg.n0p,
                                  cfg.master_seed, rep=0)
@@ -338,55 +345,41 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
                                   scfg.kernel, scfg)
         tilde = tilde_delta_h(surface, cfg.setting, cfg.truth_mc_draws, cfg.master_seed)
 
-    results = [None] * cfg.reps
-    failures = [None] * cfg.reps
-
-    def work(rep: int) -> None:
-        try:
-            results[rep] = _one_replication(cfg, rep, prior, scfg)
-        except OutOfSupport as exc:
-            failures[rep] = str(exc)
-
+    replicate = partial(_one_replication, cfg, prior, scfg)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(work, range(cfg.reps)))
+            records = list(pool.map(replicate, range(cfg.reps)))
     else:
-        for rep in range(cfg.reps):
-            work(rep)
+        records = [replicate(rep) for rep in range(cfg.reps)]
 
-    n_failed = sum(f is not None for f in failures)
-    if n_failed > 0.01 * cfg.reps:
+    failures = [r for r in records if isinstance(r, OutOfSupport)]
+    if len(failures) > 0.01 * cfg.reps:
         raise OutOfSupport(
-            f"{n_failed} of {cfg.reps} replications failed kernel-support checks; "
-            f"first failure: {next(f for f in failures if f)}")
-
-    ok = [r for r in results if r is not None]
-    q = normal_quantile(1.0 - cfg.alpha / 2.0)
+            f"{len(failures)} of {cfg.reps} replications failed kernel-support checks; "
+            f"first failure: {failures[0]}")
+    ok = [r for r in records if not isinstance(r, OutOfSupport)]
 
     methods = {}
     for method in Method:
-        est = np.array([suite[method].estimate for suite, _ in ok])
-        se = np.array([suite[method].se for suite, _ in ok])
+        tests = [wald_test(suite[method], cfg.alpha) for suite, _ in ok]
+        est = np.array([t.estimate for t in tests])
         mean_est = float(est.mean())
-        ese = float(np.std(est, ddof=1)) if est.size > 1 else 0.0
-        ase = float(se.mean())
-        effect = float((est / se).mean())
-        power = float((np.abs(est / se) > q).mean())
-
-        bias = bias_t = cov = cov_t = None
         if method is Method.GOLD:
-            bias = _bias(mean_est, truth_delta)
-            cov = _coverage(est, se, q, truth_delta)
-        elif method is not Method.P:
-            bias = _bias(mean_est, truth_delta_h)
-            cov = _coverage(est, se, q, truth_delta_h)
-            if not math.isnan(tilde):
-                bias_t = _bias(mean_est, tilde)
-                cov_t = _coverage(est, se, q, tilde)
+            target, tilde_target = truth_delta, None
+        elif method is Method.P:
+            target, tilde_target = None, None
+        else:
+            target, tilde_target = truth_delta_h, tilde
+        bias, coverage = _bias_and_coverage(tests, mean_est, target)
+        bias_tilde, coverage_tilde = _bias_and_coverage(tests, mean_est, tilde_target)
         methods[method.value] = MethodSummary(
-            method=method.value, mean_estimate=mean_est, ese=ese, ase=ase,
-            effect_size=effect, power=power, bias=bias, bias_tilde=bias_t,
-            coverage=cov, coverage_tilde=cov_t)
+            method=method.value, mean_estimate=mean_est,
+            bias=bias, bias_tilde=bias_tilde,
+            ese=float(np.std(est, ddof=1)) if est.size > 1 else 0.0,
+            ase=float(np.mean([t.se for t in tests])),
+            coverage=coverage, coverage_tilde=coverage_tilde,
+            effect_size=float(np.mean([t.z for t in tests])),
+            power=float(np.mean([t.reject for t in tests])))
 
     h0s = np.array([bw.h0 for _, bw in ok])
     h1s = np.array([bw.h1 for _, bw in ok])
@@ -397,12 +390,10 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
     # efficiency of the pooled form, measured on the SE estimates the two
     # methods actually report (the simple SE never centers out the
     # covariate trend, so it is the wider one wherever the trend is real)
-    simple_ase = methods[Method.H_SIMPLE.value].ase
-    pooled_ase = methods[Method.H_POOLED.value].ase
-    ratio = pooled_ase / simple_ase if simple_ase else float("nan")
+    ratio = methods[Method.H_POOLED.value].ase / methods[Method.H_SIMPLE.value].ase
 
     return SimulationSummary(
-        setting=cfg.setting, reps=cfg.reps, n_failed=n_failed,
+        setting=cfg.setting, reps=cfg.reps, n_failed=len(failures),
         truth_delta=truth_delta, truth_delta_h=truth_delta_h,
         truth_tilde_delta_h=tilde, methods=methods,
         se_ratio_pooled_simple=ratio,

@@ -24,6 +24,7 @@ __all__ = [
     "SmoothingConfig",
     "BandwidthRule",
     "BANDWIDTH_RECIPE",
+    "sample_spread",
     "rule_of_thumb_bandwidth",
     "default_bandwidths",
     "nw_curve_many",
@@ -97,18 +98,23 @@ def _profile(kind: KernelKind, u: np.ndarray) -> np.ndarray:
     raise ValueError(f"unhandled kernel kind {kind!r}")
 
 
+def sample_spread(values) -> tuple[float, float]:
+    """(sd, IQR) of at least two values: the sample standard deviation (n-1
+    denominator) and the interquartile range of linear-interpolation quantiles."""
+    x = np.asarray(values, dtype=float)
+    q25, q75 = np.quantile(x, [0.25, 0.75])
+    return float(np.std(x, ddof=1)), float(q75 - q25)
+
+
 def rule_of_thumb_bandwidth(values, exponent: float, multiplier: float = 1.0) -> float:
     """Normal-reference bandwidth: multiplier * 1.06 * min(sd, IQR/1.34) * n^exponent.
 
-    n is len(values) and sd the sample standard deviation (n-1 denominator);
-    the IQR uses linear-interpolation quantiles.
+    n is len(values) and (sd, IQR) come from sample_spread.
     """
     x = np.asarray(values, dtype=float)
     if x.size < 2:
         raise DegenerateSpread("need at least two values for a bandwidth")
-    sd = float(np.std(x, ddof=1))
-    q25, q75 = np.quantile(x, [0.25, 0.75])
-    iqr = float(q75 - q25)
+    sd, iqr = sample_spread(x)
     if sd == 0.0 or iqr == 0.0:
         raise DegenerateSpread(
             f"degenerate spread (sd={sd}, IQR={iqr}); all values equal?")

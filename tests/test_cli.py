@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -181,6 +184,24 @@ def test_simulate_byte_identical_across_runs_and_threads(tmp_path, capsys):
         assert (out / "summary.csv").read_bytes() == ref_csv
 
 
+def test_refreshed_prior_report_is_strict_json(tmp_path, capsys):
+    # no fixed prior, no tilde target: null in JSON, an empty cell in CSV
+    out = tmp_path / "o"
+    code, stdout, _ = run_cli(SIM_ARGS + ["--no-fix-prior", "--out", str(out)], capsys)
+    assert code == 0
+    assert "tilde_delta_h=\n" in stdout
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    jsonschema.validate(report, SCHEMA)
+    assert report["truth"]["tilde_delta_h"] is None
+    header, rows = csv_rows(out)
+    at = header.index("truth_tilde_delta_h")
+    assert all(row.split(",")[at] == "" for row in rows)
+
+
 def test_simulate_rejects_zero_reps(tmp_path, capsys):
     code, _, err = run_cli(["simulate", "--setting", "7", "--reps", "0",
                             "--out", str(tmp_path / "o")], capsys)
@@ -287,6 +308,29 @@ def test_bandwidths_constant_marker_names_column(csv_pair, tmp_path, capsys):
                                 "--out", str(tmp_path / "o")], capsys)
         assert code == 1
         assert "DegenerateSpread" in err and "h2 (prior control s)" in err
+
+
+def test_bandwidths_one_row_arm_prints_only_the_error(csv_pair, tmp_path):
+    # a one-row arm has no sample spread: the bandwidth check must reject it
+    # before any statistic is computed, so no numpy warning reaches stderr
+    current = load_study_csv(csv_pair / "current.csv")
+    one_row = TwoArmStudy(treated=current.treated,
+                          control=StudyArm(s=current.control.s[:1],
+                                           w=current.control.w[:1],
+                                           y=current.control.y[:1]))
+    path = tmp_path / "one_row.csv"
+    write_study_csv(one_row, path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "surrtest.cli", "bandwidths", str(csv_pair / "prior.csv"),
+         str(path), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "error (DegenerateSpread): h0 (current control w): "
+        "need at least two values for a bandwidth"]
 
 
 def test_gaussian_kernel_echoed(csv_pair, tmp_path, capsys):

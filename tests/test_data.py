@@ -115,6 +115,14 @@ def test_load_empty_arm(tmp_path):
 def test_load_nonfinite_cells(tmp_path):
     with pytest.raises(NonFiniteValue, match="line 2"):
         load_study_csv(_write(tmp_path, "z,s,w\n1,nan,0.5\n0,1.0,0.5\n"))
+    # the message names the file and the physical line, blank lines counted
+    for column, text in (("s", "z,s,w\n1,1.0,0.5\n\n1,nan,0.5\n0,1.0,0.5\n"),
+                         ("w", "z,s,w\n1,1.0,0.5\n\n1,1.0,nan\n0,1.0,0.5\n"),
+                         ("y", "z,s,w,y\n1,1.0,0.5,1\n\n1,1.0,0.5,nan\n0,1.0,0.5,1\n")):
+        path = _write(tmp_path, text, f"blank_{column}.csv")
+        with pytest.raises(NonFiniteValue,
+                           match=f"blank_{column}.csv line 4: non-finite {column}="):
+            load_study_csv(path)
     with pytest.raises(NonFiniteValue):
         load_study_csv(_write(tmp_path, "z,s,w\n1,inf,0.5\n0,1.0,0.5\n", "b.csv"))
     with pytest.raises(NonFiniteValue):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from surrtest.data import StudyArm, TwoArmStudy, validate_paired
-from surrtest.errors import MissingOutcome, ZeroDenominator
+from surrtest.errors import MissingPriorOutcome, ZeroDenominator
 from surrtest.estimators import (
     Method,
     estimate_suite,
@@ -257,7 +257,7 @@ def test_fit_requires_prior_outcome():
         control=StudyArm(s=[1.0, 2.0], w=[0.5, 1.5]))
     fake = tiny_pair()
     broken = PairedLike(prior=prior, current=fake.current)
-    with pytest.raises(MissingOutcome):
+    with pytest.raises(MissingPriorOutcome):
         fit_mu0_surface(broken, BW, EPA, ERR_CFG)
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from surrtest import simulate
-from surrtest.errors import ConfigError, OutOfSupport, UnknownSetting
-from surrtest.estimators import Mu0Surface
+from surrtest.errors import ConfigError, OutOfSupport, UnknownSetting, ZeroSE
+from surrtest.estimators import Method, Mu0Surface
 from surrtest.simulate import (
     SimConfig,
     generate_setting,
@@ -184,10 +184,25 @@ def test_single_rep_has_zero_ese():
 
 def test_refreshed_prior_mode():
     s = run_simulation(SimConfig(setting=5, fix_prior=False, **FAST))
-    assert math.isnan(s.truth_tilde_delta_h)
+    assert s.truth_tilde_delta_h is None
     assert s.methods["h_pooled"].bias_tilde is None
     assert s.methods["h_pooled"].coverage_tilde is None
     assert s.methods["h_pooled"].bias is not None
+
+
+def test_zero_se_in_a_replication_raises(monkeypatch):
+    # each replication is scored by its Wald test, which has no z for a
+    # zero SE; the campaign must fail instead of averaging inf into effect_size
+    real = simulate.estimate_suite
+
+    def zero_simple_se(*args):
+        suite = real(*args)
+        suite[Method.H_SIMPLE] = dataclasses.replace(suite[Method.H_SIMPLE], se=0.0)
+        return suite
+
+    monkeypatch.setattr(simulate, "estimate_suite", zero_simple_se)
+    with pytest.raises(ZeroSE):
+        run_simulation(SimConfig(setting=5, **FAST))
 
 
 def test_tilde_surface_uses_replication_bandwidths(monkeypatch):
