@@ -108,110 +108,6 @@ def _two_sample_se(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(va / a.size + vb / b.size)
 
 
-@dataclass(frozen=True)
-class _HParts:
-    """Shared intermediates for the heterogeneity-aware estimators.
-
-    s1t/s0t are the transported outcomes per arm; mg_wk holds the arm-g
-    smoothed mean evaluated at arm k's covariate points.  n_clamped counts
-    every clamped query, n_clamped_transport only those of the surface
-    evaluations behind s1t/s0t.
-    """
-
-    s1t: np.ndarray
-    s0t: np.ndarray
-    m1_w1: np.ndarray
-    m1_w0: np.ndarray
-    m0_w1: np.ndarray
-    m0_w0: np.ndarray
-    n_clamped_transport: int
-    n_clamped: int
-
-    @property
-    def n1(self) -> int:
-        return self.s1t.size
-
-    @property
-    def n0(self) -> int:
-        return self.s0t.size
-
-
-def _compute_h_parts(paired: PairedStudies, surface: Mu0Surface,
-                     bw: Bandwidths, cfg: SmoothingConfig) -> _HParts:
-    tre = paired.current.treated
-    ctl = paired.current.control
-    s1t, c1 = surface.evaluate_many(tre.s, tre.w)
-    s0t, c0 = surface.evaluate_many(ctl.s, ctl.w)
-    w_all = np.concatenate([tre.w, ctl.w])
-    m1_all, c2 = nw_curve_many(tre.w, s1t, bw.h1, surface.kernel, w_all, cfg)
-    m0_all, c3 = nw_curve_many(ctl.w, s0t, bw.h0, surface.kernel, w_all, cfg)
-    n1 = tre.n
-    return _HParts(
-        s1t=s1t, s0t=s0t,
-        m1_w1=m1_all[:n1], m1_w0=m1_all[n1:],
-        m0_w1=m0_all[:n1], m0_w0=m0_all[n1:],
-        n_clamped_transport=c1 + c0,
-        n_clamped=c1 + c0 + c2 + c3,
-    )
-
-
-def _pooled_from_parts(p: _HParts) -> float:
-    """The headline estimator: both smoothed means averaged over the pooled covariates.
-
-    Randomization makes the covariate distribution identical across arms, so
-    evaluating both arm means over all n covariate values recovers the same
-    limit with lower variance.
-    """
-    n = p.n1 + p.n0
-    return float((p.m1_w0.sum() + p.m1_w1.sum() - p.m0_w0.sum() - p.m0_w1.sum()) / n)
-
-
-def _sigma_h_from_parts(p: _HParts, delta_h: float) -> float:
-    """Standard error of the pooled and twostage estimators, centered at delta_h."""
-    n1, n0 = p.n1, p.n0
-    n = n1 + n0
-    pi1 = n1 / n
-    pi0 = n0 / n
-    # each arm's residual is centered: the pi-weighted m level sits pi1*delta
-    # below the treated mean and pi0*delta above the control mean, so the
-    # treated term subtracts pi1*delta and the control term adds pi0*delta.
-    # With a subtracted control term the control residuals carry a
-    # -2*pi0*delta offset and the variance estimate is inflated whenever
-    # delta is large against the control-arm spread.
-    r1 = p.s1t - pi0 * p.m1_w1 - pi1 * p.m0_w1 - pi1 * delta_h
-    r0 = p.s0t - pi0 * p.m1_w0 - pi1 * p.m0_w0 + pi0 * delta_h
-    return math.sqrt(float((r1 * r1).sum()) / n1**2 + float((r0 * r0).sum()) / n0**2)
-
-
-def _sigma_aug_from_parts(p: _HParts, delta_h: float) -> float:
-    """Standard error of the augmented estimator (four-term decomposition)."""
-    n1, n0 = p.n1, p.n0
-    n = n1 + n0
-    pi1 = n1 / n
-    pi0 = n0 / n
-    e1 = p.s1t - p.m1_w1
-    e0 = p.s0t - p.m0_w0
-    g1 = p.m1_w1 - p.m0_w1 - delta_h
-    g0 = p.m1_w0 - p.m0_w0 - delta_h
-    return math.sqrt(
-        float((e1 * e1).sum()) / n1**2
-        + float((e0 * e0).sum()) / n0**2
-        + pi1**2 / n1**2 * float((g1 * g1).sum())
-        + pi0**2 / n0**2 * float((g0 * g0).sum())
-    )
-
-
-def _aug_from_parts(p: _HParts) -> float:
-    """Augmented form: transported outcomes centered by the arm-share blend of m1, m0."""
-    n1, n0 = p.n1, p.n0
-    n = n1 + n0
-    pi1 = n1 / n
-    pi0 = n0 / n
-    mopt_w1 = pi0 * p.m1_w1 + pi1 * p.m0_w1
-    mopt_w0 = pi0 * p.m1_w0 + pi1 * p.m0_w0
-    return float((p.s1t - mopt_w1).mean() - (p.s0t - mopt_w0).mean())
-
-
 def pte_ratio(delta_h: EstimateWithSE, gold: EstimateWithSE) -> float:
     """Fraction of the outcome-scale effect captured on the transported scale."""
     if gold.estimate == 0.0:
@@ -224,39 +120,78 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) 
 
     Returns a dict keyed by Method.  The heavy pieces (surface transforms,
     smoothed means) are computed once and reused, so this is the entry point
-    the simulation harness and CLI both use.  The simple form is the
-    difference of arm means of transported outcomes; twostage contrasts each
-    arm's smoothed mean at its own covariate points; the augmented SE uses
-    the pooled estimate as its contrast center.  The gold row appears only
-    when both current arms carry outcomes.
+    the simulation harness and CLI both use.  s1t/s0t are the transported
+    outcomes per arm and mg_wk is the arm-g smoothed mean at arm k's
+    covariate points.  The pooled form, the headline estimator, averages both
+    smoothed means over the pooled covariates: randomization makes the
+    covariate distribution identical across arms, so evaluating both arm
+    means over all n covariate values recovers the same limit with lower
+    variance.  The simple form is the difference of arm means of transported
+    outcomes; twostage contrasts each arm's smoothed mean at its own
+    covariate points; the augmented form centers the transported outcomes by
+    the arm-share blend of m1 and m0, and its SE uses the pooled estimate as
+    its contrast center.  The simple form counts only the clamps of the
+    surface evaluations behind s1t/s0t.  The gold row appears only when both
+    current arms carry outcomes.
     """
     surface = fit_mu0_surface(paired, bw, cfg.kernel, cfg)
-    p = _compute_h_parts(paired, surface, bw, cfg)
-    n1, n0 = p.n1, p.n0
+    tre, ctl = paired.current.treated, paired.current.control
+    n1, n0 = tre.n, ctl.n
+    n = n1 + n0
+    pi1 = n1 / n
+    pi0 = n0 / n
 
-    pooled = _pooled_from_parts(p)
-    simple = float(p.s1t.mean() - p.s0t.mean())
-    twostage = float(p.m1_w1.mean() - p.m0_w0.mean())
-    aug = _aug_from_parts(p)
+    s1t, c1 = surface.evaluate_many(tre.s, tre.w)
+    s0t, c0 = surface.evaluate_many(ctl.s, ctl.w)
+    w_all = np.concatenate([tre.w, ctl.w])
+    m1, c2 = nw_curve_many(tre.w, s1t, bw.h1, cfg.kernel, w_all, cfg)
+    m0, c3 = nw_curve_many(ctl.w, s0t, bw.h0, cfg.kernel, w_all, cfg)
+    m1_w1, m1_w0 = m1[:n1], m1[n1:]
+    m0_w1, m0_w0 = m0[:n1], m0[n1:]
+    clamped = c1 + c0 + c2 + c3
+
+    def sigma_h(delta: float) -> float:
+        # each arm's residual is centered: the pi-weighted m level sits
+        # pi1*delta below the treated mean and pi0*delta above the control
+        # mean, so the treated term subtracts pi1*delta and the control term
+        # adds pi0*delta.  With a subtracted control term the control
+        # residuals carry a -2*pi0*delta offset and the variance estimate is
+        # inflated whenever delta is large against the control-arm spread.
+        r1 = s1t - pi0 * m1_w1 - pi1 * m0_w1 - pi1 * delta
+        r0 = s0t - pi0 * m1_w0 - pi1 * m0_w0 + pi0 * delta
+        return math.sqrt(float((r1 * r1).sum()) / n1**2 + float((r0 * r0).sum()) / n0**2)
+
+    pooled = float((m1_w0.sum() + m1_w1.sum() - m0_w0.sum() - m0_w1.sum()) / n)
+    simple = float(s1t.mean() - s0t.mean())
+    twostage = float(m1_w1.mean() - m0_w0.mean())
+    aug = float((s1t - (pi0 * m1_w1 + pi1 * m0_w1)).mean()
+                - (s0t - (pi0 * m1_w0 + pi1 * m0_w0)).mean())
+    e1 = s1t - m1_w1
+    e0 = s0t - m0_w0
+    g1 = m1_w1 - m0_w1 - pooled
+    g0 = m1_w0 - m0_w0 - pooled
+    sigma_aug = math.sqrt(
+        float((e1 * e1).sum()) / n1**2
+        + float((e0 * e0).sum()) / n0**2
+        + pi1**2 / n1**2 * float((g1 * g1).sum())
+        + pi0**2 / n0**2 * float((g0 * g0).sum())
+    )
 
     # covariate-ignoring: the arms' surrogates carried through the 1-D curve
-    tre, ctl = paired.current.treated, paired.current.control
     pc = paired.prior.control
-    y1t, c1 = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, tre.s, cfg)
-    y0t, c0 = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, ctl.s, cfg)
+    y1t, c4 = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, tre.s, cfg)
+    y0t, c5 = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, ctl.s, cfg)
 
     out = {
-        Method.H_POOLED: EstimateWithSE(pooled, _sigma_h_from_parts(p, pooled),
-                                        Method.H_POOLED, n1, n0, p.n_clamped),
-        Method.H_SIMPLE: EstimateWithSE(simple, _two_sample_se(p.s1t, p.s0t),
-                                        Method.H_SIMPLE, n1, n0,
-                                        p.n_clamped_transport),
-        Method.H_TWOSTAGE: EstimateWithSE(twostage, _sigma_h_from_parts(p, twostage),
-                                          Method.H_TWOSTAGE, n1, n0, p.n_clamped),
-        Method.H_AUG: EstimateWithSE(aug, _sigma_aug_from_parts(p, pooled),
-                                     Method.H_AUG, n1, n0, p.n_clamped),
+        Method.H_POOLED: EstimateWithSE(pooled, sigma_h(pooled),
+                                        Method.H_POOLED, n1, n0, clamped),
+        Method.H_SIMPLE: EstimateWithSE(simple, _two_sample_se(s1t, s0t),
+                                        Method.H_SIMPLE, n1, n0, c1 + c0),
+        Method.H_TWOSTAGE: EstimateWithSE(twostage, sigma_h(twostage),
+                                          Method.H_TWOSTAGE, n1, n0, clamped),
+        Method.H_AUG: EstimateWithSE(aug, sigma_aug, Method.H_AUG, n1, n0, clamped),
         Method.P: EstimateWithSE(float(y1t.mean() - y0t.mean()),
-                                 _two_sample_se(y1t, y0t), Method.P, n1, n0, c1 + c0),
+                                 _two_sample_se(y1t, y0t), Method.P, n1, n0, c4 + c5),
     }
     if tre.has_outcome and ctl.has_outcome:
         out[Method.GOLD] = EstimateWithSE(float(tre.y.mean() - ctl.y.mean()),

@@ -163,13 +163,11 @@ def generate_setting(setting: int, which: str, n1: int, n0: int,
     else:
         raise ValueError(f'which must be "prior" or "current", got {which!r}')
     treated = _draw_arm(law, law.treated, w_range, n1,
-                        _stream(master_seed, setting, ctx, rep, _TAG_W1),
-                        _stream(master_seed, setting, ctx, rep, _TAG_S1),
-                        _stream(master_seed, setting, ctx, rep, _TAG_E1))
+                        *(_stream(master_seed, setting, ctx, rep, tag)
+                          for tag in (_TAG_W1, _TAG_S1, _TAG_E1)))
     control = _draw_arm(law, law.control, w_range, n0,
-                        _stream(master_seed, setting, ctx, rep, _TAG_W0),
-                        _stream(master_seed, setting, ctx, rep, _TAG_S0),
-                        _stream(master_seed, setting, ctx, rep, _TAG_E0))
+                        *(_stream(master_seed, setting, ctx, rep, tag)
+                          for tag in (_TAG_W0, _TAG_S0, _TAG_E0)))
     return TwoArmStudy(treated=treated, control=control)
 
 
@@ -343,7 +341,11 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
         paired = validate_paired(prior, prior)
         surface = fit_mu0_surface(paired, default_bandwidths(paired, scfg.kernel),
                                   scfg.kernel, scfg)
-        tilde = tilde_delta_h(surface, cfg.setting, cfg.truth_mc_draws, cfg.master_seed)
+        try:
+            tilde = tilde_delta_h(surface, cfg.setting, cfg.truth_mc_draws, cfg.master_seed)
+        except OutOfSupport as exc:
+            raise OutOfSupport(f"tilde target (fixed-prior Monte Carlo): {exc}; "
+                               "--no-fix-prior skips it", indices=exc.indices) from None
 
     replicate = partial(_one_replication, cfg, prior, scfg)
     if cfg.threads > 1:

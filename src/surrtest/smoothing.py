@@ -176,23 +176,36 @@ def _check_bandwidth(h: float, name: str) -> None:
         raise NonPositiveBandwidth(f"bandwidth {name} must be positive and finite, got {h!r}")
 
 
-def _clamp_to_nearest(bad, queries, data, recompute) -> None:
-    """Move the `bad` queries onto their nearest data point and re-evaluate them.
+def _kernel_sums(data, ys, queries, kernel: KernelKind) -> tuple[np.ndarray, np.ndarray]:
+    """Raw product-kernel sums (numerator, denominator) of each query row.
 
-    `queries` is a list of query-coordinate arrays (one per dimension, copies),
-    `data` the matching (data coordinate, bandwidth) pairs, and
-    `recompute(idx)` re-evaluates numerator/denominator rows for the given
-    query indices after the coordinates have been clamped in place.
+    No 1/h factor: the ratio cancels it anyway and the mass floor must not
+    depend on the bandwidth scale.  `wts @ ys` runs through BLAS gemv, whose
+    per-row bits depend on the number of rows in the call, so a query's value
+    depends on how many queries share its call: callers must keep their query
+    batching fixed for reports to stay byte-identical.
     """
-    # Nearest observed point in bandwidth-scaled coordinates.
-    data_coords = [(x / h, h) for x, h in data]
-    dist2 = np.zeros((bad.size, data_coords[0][0].size))
-    for (data_scaled, h), q in zip(data_coords, queries):
-        dist2 += ((data_scaled[None, :] - q[bad, None] / h)) ** 2
+    wts = None
+    for (x, h), qd in zip(data, queries):
+        k = _profile(kernel, (x[None, :] - qd[:, None]) / h)
+        wts = k if wts is None else np.multiply(wts, k, out=wts)
+    return wts @ ys, wts.sum(axis=1)
+
+
+def _nearest_points(data, points) -> list:
+    """Coordinates of the data point nearest each point, in bandwidth-scaled
+    distance, ties going to the lowest data index.
+
+    The result is the scaled data point mapped back, (x / h)[nearest] * h,
+    which can differ from x[nearest] in the last bit; reports are pinned to
+    these bits.
+    """
+    scaled = [x / h for x, h in data]
+    dist2 = np.zeros((points[0].size, scaled[0].size))
+    for xs, (_, h), p in zip(scaled, data, points):
+        dist2 += (xs[None, :] - p[:, None] / h) ** 2
     nearest = np.argmin(dist2, axis=1)
-    for (data_scaled, h), q in zip(data_coords, queries):
-        q[bad] = data_scaled[nearest] * h
-    recompute(bad)
+    return [xs[nearest] * h for xs, (_, h) in zip(scaled, data)]
 
 
 def _nw_product(data, ys, queries, kernel: KernelKind,
@@ -203,40 +216,29 @@ def _nw_product(data, ys, queries, kernel: KernelKind,
     `queries` the matching query arrays.  Queries are evaluated in blocks of
     _CHUNK; returns (values, clamped-query count).  Under the ERROR policy
     every block is checked before OutOfSupport names all offending queries.
+    Under CLAMP_TO_NEAREST a low-mass query is re-evaluated at its nearest
+    data point.
     """
     out = np.empty_like(queries[0])
     clamped = 0
     offenders = []  # global indices of low-mass queries, ERROR policy
     for lo in range(0, out.size, _CHUNK):
-        hi = min(lo + _CHUNK, out.size)
-        q = [qd[lo:hi].copy() for qd in queries]
-        num = np.empty(hi - lo)
-        den = np.empty(hi - lo)
-
-        def fill(idx, q=q, num=num, den=den):
-            # raw kernel sums, no 1/h: the ratio cancels it anyway and the
-            # mass floor must not depend on the bandwidth scale
-            wts = None
-            for (x, h), qd in zip(data, q):
-                k = _profile(kernel, (x[None, :] - qd[idx, None]) / h)
-                wts = k if wts is None else np.multiply(wts, k, out=wts)
-            num[idx] = wts @ ys
-            den[idx] = wts.sum(axis=1)
-
-        fill(slice(None))
+        q = [qd[lo:lo + _CHUNK] for qd in queries]
+        num, den = _kernel_sums(data, ys, q, kernel)
         bad = np.flatnonzero(den < _DENOM_FLOOR)
         if bad.size and cfg.oob_policy is OobPolicy.ERROR:
             offenders.append(bad + lo)
             continue
         if bad.size:
-            _clamp_to_nearest(bad, q, data, fill)
+            num[bad], den[bad] = _kernel_sums(
+                data, ys, _nearest_points(data, [qd[bad] for qd in q]), kernel)
             still = bad[den[bad] < _DENOM_FLOOR]
             if still.size:
                 raise OutOfSupport(
                     "kernel mass below floor even at the nearest data point "
                     "(bandwidths too large for the floor?)", indices=still + lo)
             clamped += int(bad.size)
-        out[lo:hi] = num / den
+        out[lo:lo + _CHUNK] = num / den
     if offenders:
         bad = np.concatenate(offenders)
         raise OutOfSupport(

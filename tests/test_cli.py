@@ -10,10 +10,10 @@ import pytest
 
 from surrtest.cli import main, parse_args
 from surrtest.data import StudyArm, TwoArmStudy, load_study_csv, validate_paired, write_study_csv
-from surrtest.errors import ConfigError
+from surrtest.errors import ConfigError, OutOfSupport
 from surrtest.estimators import Method, estimate_suite
 from surrtest.inference import wald_test
-from surrtest.simulate import generate_setting
+from surrtest.simulate import SimConfig, generate_setting, run_simulation
 from surrtest.smoothing import KernelKind, OobPolicy, SmoothingConfig, default_bandwidths
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -200,6 +200,22 @@ def test_refreshed_prior_report_is_strict_json(tmp_path, capsys):
     header, rows = csv_rows(out)
     at = header.index("truth_tilde_delta_h")
     assert all(row.split(",")[at] == "" for row in rows)
+
+
+def test_tilde_target_failure_names_its_stage(tmp_path, capsys):
+    # setting 1's tilde draws leave the prior control support, so the fixed-
+    # prior Monte Carlo fails under --oob error before any replication runs
+    code, _, err = run_cli(["simulate", "--setting", "1", "--reps", "30",
+                            "--oob", "error", "--truth-draws", "2000",
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert err == ("error (OutOfSupport): tilde target (fixed-prior Monte Carlo): "
+                   "230 query point(s) have kernel mass below 1e-10; nearest-point "
+                   "clamping is disabled; --no-fix-prior skips it\n")
+    with pytest.raises(OutOfSupport) as exc_info:
+        run_simulation(SimConfig(setting=1, reps=30, truth_mc_draws=2000,
+                                 oob_policy=OobPolicy.ERROR))
+    assert exc_info.value.indices.size == 230
 
 
 def test_simulate_rejects_zero_reps(tmp_path, capsys):

@@ -294,6 +294,26 @@ def test_error_policy_indices_span_query_blocks(offenders):
     assert [int(i) for i in exc_info.value.indices] == offenders
 
 
+def test_clamp_policy_spans_query_blocks():
+    # 6000 queries take two 4096-query blocks, with one offender in the first
+    # and two in the second; h = 0.5 keeps (x / h) * h exact
+    xs, ys, h = [0.0, 0.5, 1.0, 1.5, 2.0], [1.0, 4.0, 2.0, 8.0, 3.0], 0.5
+    clean = np.linspace(0.0, 2.0, 6000)
+    x0s = clean.copy()
+    x0s[[10, 5000, 5001]] = [50.0, -40.0, 30.0]
+    vals, n_clamped = nw_curve_many(xs, ys, h, EPA, x0s, CLAMP)
+    assert n_clamped == 3
+    # each block re-evaluates its clamped rows in one call, and a row's bits
+    # depend on the row count, so the references use the same counts
+    assert vals[10] == nw_curve_many(xs, ys, h, EPA, [2.0], ERR)[0][0]
+    assert np.array_equal(vals[[5000, 5001]],
+                          nw_curve_many(xs, ys, h, EPA, [0.0, 2.0], ERR)[0])
+    others = np.ones(6000, dtype=bool)
+    others[[10, 5000, 5001]] = False
+    ref, _ = nw_curve_many(xs, ys, h, EPA, clean, ERR)
+    assert np.array_equal(vals[others], ref[others])
+
+
 def test_clamp_policy_uses_nearest_point_1d():
     # far right query clamps to x=2 whose tight neighborhood holds only y=9
     vals, n_clamped = nw_curve_many([0.0, 1.0, 2.0], [5.0, 7.0, 9.0], 0.4,
