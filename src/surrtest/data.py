@@ -1,7 +1,8 @@
 """Study containers, CSV ingestion, and cross-study validation.
 
-A study file is a UTF-8 comma-delimited CSV with a header row and columns
-``z`` (treatment indicator, 0 or 1), ``s`` (surrogate marker), ``w`` (baseline
+A study file is a UTF-8 comma-delimited CSV, with or without the byte-order
+mark Excel's "CSV UTF-8" writes, with a header row and columns ``z``
+(treatment indicator, 0 or 1), ``s`` (surrogate marker), ``w`` (baseline
 covariate), and optionally ``y`` (primary outcome).  Outcome cells may be
 blank only if every cell in that arm is blank; an arm either has outcomes or
 does not.  Non-finite values are hard errors, never imputed.
@@ -114,7 +115,7 @@ def _parse_float(cell: str, column: str, path, line_no: int) -> float:
 def load_study_csv(path) -> TwoArmStudy:
     """Read one study CSV and partition rows by treatment indicator."""
     rows = {0: {"s": [], "w": [], "y": []}, 1: {"s": [], "w": [], "y": []}}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise MissingColumn(f"{path}: empty file, no header row")

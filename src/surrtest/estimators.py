@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PairedStudies
-from .errors import MissingPriorOutcome, ZeroDenominator
+from .errors import MissingPriorOutcome, OutOfSupport, ZeroDenominator
 from .smoothing import (
     Bandwidths,
     KernelKind,
@@ -121,8 +121,8 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) 
     Returns a dict keyed by Method.  The heavy pieces (surface transforms,
     smoothed means) are computed once and reused, so this is the entry point
     the simulation harness and CLI both use.  s1t/s0t are the transported
-    outcomes per arm and mg_wk is the arm-g smoothed mean at arm k's
-    covariate points.  The pooled form, the headline estimator, averages both
+    outcomes per arm and m1/m0 the arm smoothed means at the treated then
+    control covariates.  The pooled form, the headline estimator, averages both
     smoothed means over the pooled covariates: randomization makes the
     covariate distribution identical across arms, so evaluating both arm
     means over all n covariate values recovers the same limit with lower
@@ -132,23 +132,35 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) 
     the arm-share blend of m1 and m0, and its SE uses the pooled estimate as
     its contrast center.  The simple form counts only the clamps of the
     surface evaluations behind s1t/s0t.  The gold row appears only when both
-    current arms carry outcomes.
+    current arms carry outcomes.  An OutOfSupport names its failing stage.
     """
     surface = fit_mu0_surface(paired, bw, cfg.kernel, cfg)
     tre, ctl = paired.current.treated, paired.current.control
+    pc = paired.prior.control
     n1, n0 = tre.n, ctl.n
     n = n1 + n0
     pi1 = n1 / n
     pi0 = n0 / n
-
-    s1t, c1 = surface.evaluate_many(tre.s, tre.w)
-    s0t, c0 = surface.evaluate_many(ctl.s, ctl.w)
     w_all = np.concatenate([tre.w, ctl.w])
-    m1, c2 = nw_curve_many(tre.w, s1t, bw.h1, cfg.kernel, w_all, cfg)
-    m0, c3 = nw_curve_many(ctl.w, s0t, bw.h0, cfg.kernel, w_all, cfg)
-    m1_w1, m1_w0 = m1[:n1], m1[n1:]
-    m0_w1, m0_w0 = m0[:n1], m0[n1:]
+
+    stage = "surface transport (treated arm)"
+    try:
+        s1t, c1 = surface.evaluate_many(tre.s, tre.w)
+        stage = "surface transport (control arm)"
+        s0t, c0 = surface.evaluate_many(ctl.s, ctl.w)
+        stage = "m1"
+        m1, c2 = nw_curve_many(tre.w, s1t, bw.h1, cfg.kernel, w_all, cfg)
+        stage = "m0"
+        m0, c3 = nw_curve_many(ctl.w, s0t, bw.h0, cfg.kernel, w_all, cfg)
+        # covariate-ignoring: the arms' surrogates carried through the 1-D curve
+        stage = "covariate-ignoring curve (treated arm)"
+        y1t, c4 = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, tre.s, cfg)
+        stage = "covariate-ignoring curve (control arm)"
+        y0t, c5 = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, ctl.s, cfg)
+    except OutOfSupport as exc:
+        raise OutOfSupport(f"{stage}: {exc}", indices=exc.indices) from None
     clamped = c1 + c0 + c2 + c3
+    blend = pi0 * m1 + pi1 * m0
 
     def sigma_h(delta: float) -> float:
         # each arm's residual is centered: the pi-weighted m level sits
@@ -157,30 +169,24 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) 
         # adds pi0*delta.  With a subtracted control term the control
         # residuals carry a -2*pi0*delta offset and the variance estimate is
         # inflated whenever delta is large against the control-arm spread.
-        r1 = s1t - pi0 * m1_w1 - pi1 * m0_w1 - pi1 * delta
-        r0 = s0t - pi0 * m1_w0 - pi1 * m0_w0 + pi0 * delta
+        r1 = s1t - blend[:n1] - pi1 * delta
+        r0 = s0t - blend[n1:] + pi0 * delta
         return math.sqrt(float((r1 * r1).sum()) / n1**2 + float((r0 * r0).sum()) / n0**2)
 
-    pooled = float((m1_w0.sum() + m1_w1.sum() - m0_w0.sum() - m0_w1.sum()) / n)
+    pooled = float((m1 - m0).mean())
     simple = float(s1t.mean() - s0t.mean())
-    twostage = float(m1_w1.mean() - m0_w0.mean())
-    aug = float((s1t - (pi0 * m1_w1 + pi1 * m0_w1)).mean()
-                - (s0t - (pi0 * m1_w0 + pi1 * m0_w0)).mean())
-    e1 = s1t - m1_w1
-    e0 = s0t - m0_w0
-    g1 = m1_w1 - m0_w1 - pooled
-    g0 = m1_w0 - m0_w0 - pooled
+    twostage = float(m1[:n1].mean() - m0[n1:].mean())
+    aug = float((s1t - blend[:n1]).mean() - (s0t - blend[n1:]).mean())
+    e1 = s1t - m1[:n1]
+    e0 = s0t - m0[n1:]
+    g = m1 - m0 - pooled
+    g1, g0 = g[:n1], g[n1:]
     sigma_aug = math.sqrt(
         float((e1 * e1).sum()) / n1**2
         + float((e0 * e0).sum()) / n0**2
         + pi1**2 / n1**2 * float((g1 * g1).sum())
         + pi0**2 / n0**2 * float((g0 * g0).sum())
     )
-
-    # covariate-ignoring: the arms' surrogates carried through the 1-D curve
-    pc = paired.prior.control
-    y1t, c4 = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, tre.s, cfg)
-    y0t, c5 = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, ctl.s, cfg)
 
     out = {
         Method.H_POOLED: EstimateWithSE(pooled, sigma_h(pooled),

@@ -204,6 +204,8 @@ def tilde_delta_h(surface: Mu0Surface, setting: int, truth_mc_draws: int,
     Draws (covariate, per-arm surrogates) from the *current-study* law and
     averages the surface difference; this is the estimand the fixed-prior
     replications actually target, and feeds the tilde bias/coverage columns.
+    Both arms go through one surface call, treated draws first, so an
+    OutOfSupport index of truth_mc_draws or above is a control draw.
     """
     law = _law(setting)
     lo, hi = law.current_w
@@ -213,9 +215,8 @@ def tilde_delta_h(surface: Mu0Surface, setting: int, truth_mc_draws: int,
     w = _uniform(rng_w, lo, hi, truth_mc_draws)
     s1 = rng_s1.gamma(law.treated.shape, law.treated.scale, truth_mc_draws)
     s0 = rng_s0.gamma(law.control.shape, law.control.scale, truth_mc_draws)
-    v1, _ = surface.evaluate_many(s1, w)
-    v0, _ = surface.evaluate_many(s0, w)
-    return float(v1.mean() - v0.mean())
+    v, _ = surface.evaluate_many(np.concatenate([s1, s0]), np.concatenate([w, w]))
+    return float(v[:truth_mc_draws].mean() - v[truth_mc_draws:].mean())
 
 
 @dataclass(frozen=True)
@@ -354,11 +355,11 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
     else:
         records = [replicate(rep) for rep in range(cfg.reps)]
 
-    failures = [r for r in records if isinstance(r, OutOfSupport)]
-    if len(failures) > 0.01 * cfg.reps:
+    failed = [rep for rep, r in enumerate(records) if isinstance(r, OutOfSupport)]
+    if len(failed) > 0.01 * cfg.reps:
         raise OutOfSupport(
-            f"{len(failures)} of {cfg.reps} replications failed kernel-support checks; "
-            f"first failure: {failures[0]}")
+            f"{len(failed)} of {cfg.reps} replications failed kernel-support checks; "
+            f"first failure (replication {failed[0]}): {records[failed[0]]}")
     ok = [r for r in records if not isinstance(r, OutOfSupport)]
 
     methods = {}
@@ -395,7 +396,7 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
     ratio = methods[Method.H_POOLED.value].ase / methods[Method.H_SIMPLE.value].ase
 
     return SimulationSummary(
-        setting=cfg.setting, reps=cfg.reps, n_failed=len(failures),
+        setting=cfg.setting, reps=cfg.reps, n_failed=len(failed),
         truth_delta=truth_delta, truth_delta_h=truth_delta_h,
         truth_tilde_delta_h=tilde, methods=methods,
         se_ratio_pooled_simple=ratio,

@@ -109,16 +109,19 @@ def sample_spread(values) -> tuple[float, float]:
 def rule_of_thumb_bandwidth(values, exponent: float, multiplier: float = 1.0) -> float:
     """Normal-reference bandwidth: multiplier * 1.06 * min(sd, IQR/1.34) * n^exponent.
 
-    n is len(values) and (sd, IQR) come from sample_spread.
+    n is len(values) and (sd, IQR) come from sample_spread.  A zero IQR with a
+    nonzero sd (a binary covariate with over 75% of values in one group)
+    falls back to the sd, as R's bw.nrd0 does.
     """
     x = np.asarray(values, dtype=float)
     if x.size < 2:
         raise DegenerateSpread("need at least two values for a bandwidth")
     sd, iqr = sample_spread(x)
-    if sd == 0.0 or iqr == 0.0:
+    if sd == 0.0:
         raise DegenerateSpread(
             f"degenerate spread (sd={sd}, IQR={iqr}); all values equal?")
-    return multiplier * 1.06 * min(sd, iqr / 1.34) * float(x.size) ** exponent
+    spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
+    return multiplier * 1.06 * spread * float(x.size) ** exponent
 
 
 class BandwidthRule(NamedTuple):
@@ -180,32 +183,24 @@ def _kernel_sums(data, ys, queries, kernel: KernelKind) -> tuple[np.ndarray, np.
     """Raw product-kernel sums (numerator, denominator) of each query row.
 
     No 1/h factor: the ratio cancels it anyway and the mass floor must not
-    depend on the bandwidth scale.  `wts @ ys` runs through BLAS gemv, whose
-    per-row bits depend on the number of rows in the call, so a query's value
-    depends on how many queries share its call: callers must keep their query
-    batching fixed for reports to stay byte-identical.
+    depend on the bandwidth scale.  The numerator is `vecdot`, one dot
+    product per row, since BLAS gemv's row bits vary with the block's rows.
     """
     wts = None
     for (x, h), qd in zip(data, queries):
         k = _profile(kernel, (x[None, :] - qd[:, None]) / h)
         wts = k if wts is None else np.multiply(wts, k, out=wts)
-    return wts @ ys, wts.sum(axis=1)
+    return np.vecdot(wts, ys), wts.sum(axis=1)
 
 
 def _nearest_points(data, points) -> list:
     """Coordinates of the data point nearest each point, in bandwidth-scaled
-    distance, ties going to the lowest data index.
-
-    The result is the scaled data point mapped back, (x / h)[nearest] * h,
-    which can differ from x[nearest] in the last bit; reports are pinned to
-    these bits.
-    """
-    scaled = [x / h for x, h in data]
-    dist2 = np.zeros((points[0].size, scaled[0].size))
-    for xs, (_, h), p in zip(scaled, data, points):
-        dist2 += (xs[None, :] - p[:, None] / h) ** 2
+    distance, ties going to the lowest data index."""
+    dist2 = np.zeros((points[0].size, data[0][0].size))
+    for (x, h), p in zip(data, points):
+        dist2 += ((x / h)[None, :] - p[:, None] / h) ** 2
     nearest = np.argmin(dist2, axis=1)
-    return [xs[nearest] * h for xs, (_, h) in zip(scaled, data)]
+    return [x[nearest] for x, _ in data]
 
 
 def _nw_product(data, ys, queries, kernel: KernelKind,

@@ -204,18 +204,33 @@ def test_refreshed_prior_report_is_strict_json(tmp_path, capsys):
 
 def test_tilde_target_failure_names_its_stage(tmp_path, capsys):
     # setting 1's tilde draws leave the prior control support, so the fixed-
-    # prior Monte Carlo fails under --oob error before any replication runs
+    # prior Monte Carlo fails under --oob error before any replication runs;
+    # both arms' draws are checked, the control ones at indices 2000 and up
     code, _, err = run_cli(["simulate", "--setting", "1", "--reps", "30",
                             "--oob", "error", "--truth-draws", "2000",
                             "--out", str(tmp_path / "o")], capsys)
     assert code == 1
     assert err == ("error (OutOfSupport): tilde target (fixed-prior Monte Carlo): "
-                   "230 query point(s) have kernel mass below 1e-10; nearest-point "
+                   "378 query point(s) have kernel mass below 1e-10; nearest-point "
                    "clamping is disabled; --no-fix-prior skips it\n")
     with pytest.raises(OutOfSupport) as exc_info:
         run_simulation(SimConfig(setting=1, reps=30, truth_mc_draws=2000,
                                  oob_policy=OobPolicy.ERROR))
-    assert exc_info.value.indices.size == 230
+    indices = exc_info.value.indices
+    assert (indices < 2000).sum() == 230 and (indices >= 2000).sum() == 148
+
+
+def test_failed_replication_names_replication_and_stage(tmp_path, capsys):
+    # with a fresh prior per replication, setting 1's first replication fails
+    # already when the treated arm is carried through the surface
+    code, _, err = run_cli(["simulate", "--setting", "1", "--reps", "40",
+                            "--no-fix-prior", "--oob", "error",
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert err == ("error (OutOfSupport): 40 of 40 replications failed kernel-support "
+                   "checks; first failure (replication 0): surface transport "
+                   "(treated arm): 31 query point(s) have kernel mass below 1e-10; "
+                   "nearest-point clamping is disabled\n")
 
 
 def test_simulate_rejects_zero_reps(tmp_path, capsys):

@@ -142,6 +142,21 @@ def test_roundtrip_bitwise(tmp_path):
         np.testing.assert_array_equal(a.y, b.y)
 
 
+def test_load_excel_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark, which must
+    # not become part of the first header name
+    study = generate_setting(5, "current", 20, 15, master_seed=3)
+    plain = tmp_path / "plain.csv"
+    write_study_csv(study, plain)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = load_study_csv(plain), load_study_csv(bom)
+    for side in ("treated", "control"):
+        for var in ("s", "w", "y"):
+            x, y = getattr(getattr(a, side), var), getattr(getattr(b, side), var)
+            assert x.tobytes() == y.tobytes()
+
+
 def test_roundtrip_blinded(tmp_path):
     full = generate_setting(5, "current", 20, 20, master_seed=3)
     blinded = TwoArmStudy(

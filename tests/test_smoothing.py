@@ -114,9 +114,13 @@ def test_rule_of_thumb_degenerate():
         rule_of_thumb_bandwidth([2.0, 2.0, 2.0, 2.0], -0.4)
     with pytest.raises(DegenerateSpread):
         rule_of_thumb_bandwidth([1.0], -0.4)
-    # zero IQR with nonzero sd (mass piled on the quartiles) still degenerates
-    with pytest.raises(DegenerateSpread):
-        rule_of_thumb_bandwidth([1.0] * 10 + [9.0], -0.4)
+    # zero IQR with nonzero sd (mass piled on the quartiles, as in a binary
+    # covariate with 80% in one group) falls back to the sd, as R's bw.nrd0 does
+    x = [1.0] * 10 + [9.0]
+    assert rule_of_thumb_bandwidth(x, -0.4) == 1.06 * np.std(x, ddof=1) * 11 ** -0.4
+    x = [0.0] * 80 + [1.0] * 20
+    assert rule_of_thumb_bandwidth(x, -0.4) == 1.06 * np.std(x, ddof=1) * 100 ** -0.4
+    assert rule_of_thumb_bandwidth(x, -0.4) == pytest.approx(0.067538, rel=1e-5)
 
 
 def test_default_bandwidths_positive(small_pair):
@@ -227,14 +231,64 @@ def test_nw_surface_matches_curve_when_w_constant():
 
 
 def test_nw_chunking_consistent():
-    # one call with many queries equals many calls with one query
+    # one call with many queries equals, bit for bit, many calls with one query
     rng = np.random.default_rng(9)
     xs = rng.uniform(0, 10, 60)
     ys = rng.normal(0, 1, 60)
     q = rng.uniform(0.5, 9.5, 5000)  # crosses the internal chunk boundary
     many, _ = nw_curve_many(xs, ys, 2.0, EPA, q, ERR)
-    singles = [nw_curve_many(xs, ys, 2.0, EPA, [x], ERR)[0][0] for x in q[:3]]
-    np.testing.assert_allclose(many[:3], singles, rtol=1e-12)
+    singles = [nw_curve_many(xs, ys, 2.0, EPA, [x], ERR)[0][0] for x in q]
+    assert np.array_equal(many, singles)
+
+
+def _nearest_data_point(data, queries):
+    """Index of the data point nearest each query in bandwidth-scaled distance."""
+    dist2 = sum(((x / h)[None, :] - q[:, None] / h) ** 2
+                for (x, h), q in zip(data, queries))
+    return np.argmin(dist2, axis=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["curve", "surface"])
+@pytest.mark.parametrize("kind", [EPA, GAU], ids=["epanechnikov", "gaussian"])
+@pytest.mark.parametrize("policy", list(OobPolicy), ids=[p.value for p in OobPolicy])
+@pytest.mark.parametrize("cuts", [[1666], [1, 4095, 4097], [2500, 2501, 4999]],
+                         ids=["1666", "block-edges", "singles"])
+def test_values_do_not_depend_on_query_batching(dim, kind, policy, cuts):
+    # a smoothed value depends only on its own query: any split of the
+    # queries gives the same bits and the same clamp total, and a clamped
+    # value is the smoother evaluated directly at the nearest data point
+    rng = np.random.default_rng(2022)
+    data = [(rng.uniform(0, 10, 801), 0.7) for _ in range(dim)]
+    ys = rng.normal(0, 1, 801) + data[0][0]
+    queries = [rng.uniform(0, 10, 5000) for _ in range(dim)]
+    far = [7, 1666, 4200, 4999]
+    if policy is OobPolicy.CLAMP_TO_NEAREST:
+        queries[0][far] = [-40.0, 60.0, 25.0, -15.0]
+
+    def smooth(q, policy=policy):
+        cfg = SmoothingConfig(kernel=kind, oob_policy=policy)
+        if dim == 1:
+            return nw_curve_many(data[0][0], ys, data[0][1], kind, q[0], cfg)
+        return nw_surface_many(data[0][0], data[1][0], ys, data[0][1],
+                               data[1][1], kind, *q, cfg)
+
+    whole, n_clamped = smooth(queries)
+    bounds = [0, *cuts, 5000]
+    pieces = [smooth([q[lo:hi] for q in queries]) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate([v for v, _ in pieces]), whole)
+    assert sum(c for _, c in pieces) == n_clamped
+    if policy is OobPolicy.ERROR:
+        assert n_clamped == 0
+        return
+    # the ERROR policy names exactly the queries CLAMP_TO_NEAREST clamps
+    with pytest.raises(OutOfSupport) as exc_info:
+        smooth(queries, OobPolicy.ERROR)
+    low = exc_info.value.indices
+    assert set(far) <= set(low.tolist()) and low.size == n_clamped
+    nearest = _nearest_data_point(data, [q[low] for q in queries])
+    direct, n_direct = smooth([x[nearest] for x, _ in data])
+    assert n_direct == 0
+    assert np.array_equal(whole[low], direct)
 
 
 def test_nw_input_validation():
@@ -296,18 +350,15 @@ def test_error_policy_indices_span_query_blocks(offenders):
 
 def test_clamp_policy_spans_query_blocks():
     # 6000 queries take two 4096-query blocks, with one offender in the first
-    # and two in the second; h = 0.5 keeps (x / h) * h exact
+    # and two in the second
     xs, ys, h = [0.0, 0.5, 1.0, 1.5, 2.0], [1.0, 4.0, 2.0, 8.0, 3.0], 0.5
     clean = np.linspace(0.0, 2.0, 6000)
     x0s = clean.copy()
     x0s[[10, 5000, 5001]] = [50.0, -40.0, 30.0]
     vals, n_clamped = nw_curve_many(xs, ys, h, EPA, x0s, CLAMP)
     assert n_clamped == 3
-    # each block re-evaluates its clamped rows in one call, and a row's bits
-    # depend on the row count, so the references use the same counts
-    assert vals[10] == nw_curve_many(xs, ys, h, EPA, [2.0], ERR)[0][0]
-    assert np.array_equal(vals[[5000, 5001]],
-                          nw_curve_many(xs, ys, h, EPA, [0.0, 2.0], ERR)[0])
+    assert np.array_equal(vals[[10, 5000, 5001]],
+                          nw_curve_many(xs, ys, h, EPA, [2.0, 0.0, 2.0], ERR)[0])
     others = np.ones(6000, dtype=bool)
     others[[10, 5000, 5001]] = False
     ref, _ = nw_curve_many(xs, ys, h, EPA, clean, ERR)
