@@ -56,6 +56,7 @@ from .smoothing import (
     KernelKind,
     OobPolicy,
     SmoothingConfig,
+    bandwidth_spread,
     default_bandwidths,
     sample_spread,
 )
@@ -335,16 +336,17 @@ def cmd_bandwidths(args) -> int:
 
     rows = []
     print(f"{'name':<5} {'value':>10} {'variable':<18} {'sd':>9} {'IQR':>9} "
-          f"{'n':>6} {'exponent':>9} {'multiplier':>10}")
+          f"{'spread':<8} {'n':>6} {'exponent':>9} {'multiplier':>10}")
     for rule in BANDWIDTH_RECIPE:
         arm = rule.arm_of(paired)
         h = rule.resolve(arm)  # first: it rejects a sample with no spread
         sd, iqr = sample_spread(getattr(arm, rule.variable))
+        spread, _ = bandwidth_spread(sd, iqr)
         print(f"{rule.name:<5} {h:>10.5f} {rule.label:<18} {sd:>9.4f} {iqr:>9.4f} "
-              f"{arm.n:>6} {rule.exponent:>9} {rule.multiplier:>10}")
+              f"{spread:<8} {arm.n:>6} {rule.exponent:>9} {rule.multiplier:>10}")
         rows.append({"name": rule.name, "value": h, "variable": rule.label,
-                     "sd": sd, "iqr": iqr, "n": arm.n, "exponent": rule.exponent,
-                     "multiplier": rule.multiplier})
+                     "sd": sd, "iqr": iqr, "spread": spread, "n": arm.n,
+                     "exponent": rule.exponent, "multiplier": rule.multiplier})
 
     report = _common_report(args, "bandwidths")
     report.update({

@@ -102,10 +102,13 @@ def fit_mu0_surface(paired: PairedStudies, bw: Bandwidths,
                       h_s=bw.h2, h_w=bw.h3, kernel=kernel, cfg=cfg)
 
 
-def _two_sample_se(a: np.ndarray, b: np.ndarray) -> float:
+def _arm_contrast(a: np.ndarray, b: np.ndarray, method: Method,
+                  n_clamped: int = 0) -> EstimateWithSE:
+    """Difference of two arms' means, with its two-sample standard error."""
     va = float(np.var(a, ddof=1)) if a.size > 1 else 0.0
     vb = float(np.var(b, ddof=1)) if b.size > 1 else 0.0
-    return math.sqrt(va / a.size + vb / b.size)
+    return EstimateWithSE(float(a.mean() - b.mean()), math.sqrt(va / a.size + vb / b.size),
+                          method, a.size, b.size, n_clamped)
 
 
 def pte_ratio(delta_h: EstimateWithSE, gold: EstimateWithSE) -> float:
@@ -118,65 +121,58 @@ def pte_ratio(delta_h: EstimateWithSE, gold: EstimateWithSE) -> float:
 def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) -> dict:
     """All estimators off one shared set of intermediates.
 
-    Returns a dict keyed by Method.  The heavy pieces (surface transforms,
-    smoothed means) are computed once and reused, so this is the entry point
-    the simulation harness and CLI both use.  s1t/s0t are the transported
-    outcomes per arm and m1/m0 the arm smoothed means at the treated then
-    control covariates.  The pooled form, the headline estimator, averages both
+    Returns a dict keyed by Method.  s1t/s0t are the transported outcomes per
+    arm and m1/m0 the arm smoothed means at the treated then control
+    covariates.  The pooled form, the headline estimator, averages both
     smoothed means over the pooled covariates: randomization makes the
-    covariate distribution identical across arms, so evaluating both arm
-    means over all n covariate values recovers the same limit with lower
-    variance.  The simple form is the difference of arm means of transported
-    outcomes; twostage contrasts each arm's smoothed mean at its own
-    covariate points; the augmented form centers the transported outcomes by
-    the arm-share blend of m1 and m0, and its SE uses the pooled estimate as
-    its contrast center.  The simple form counts only the clamps of the
-    surface evaluations behind s1t/s0t.  The gold row appears only when both
-    current arms carry outcomes.  An OutOfSupport names its failing stage.
+    covariate distribution identical across arms, so evaluating both arm means
+    over all n covariate values recovers the same limit with lower variance.
+    The simple form is the difference of arm means of transported outcomes;
+    twostage contrasts each arm's smoothed mean at its own covariate points;
+    the augmented form centers the transported outcomes by the arm-share blend
+    of m1 and m0, and its SE uses the pooled estimate as its contrast center.
+    Both arms go through the surface, and through the covariate-ignoring
+    curve, in one call each; the simple form counts only that surface call's
+    clamps.  Every call takes the treated queries first, and so do the indices
+    of an OutOfSupport, which names its failing stage.  The gold row appears
+    only when both current arms carry outcomes.
     """
     surface = fit_mu0_surface(paired, bw, cfg.kernel, cfg)
     tre, ctl = paired.current.treated, paired.current.control
     pc = paired.prior.control
     n1, n0 = tre.n, ctl.n
-    n = n1 + n0
-    pi1 = n1 / n
-    pi0 = n0 / n
+    pi1 = n1 / (n1 + n0)
+    pi0 = n0 / (n1 + n0)
+    s_all = np.concatenate([tre.s, ctl.s])
     w_all = np.concatenate([tre.w, ctl.w])
 
-    stage = "surface transport (treated arm)"
+    stage = "surface transport"
     try:
-        s1t, c1 = surface.evaluate_many(tre.s, tre.w)
-        stage = "surface transport (control arm)"
-        s0t, c0 = surface.evaluate_many(ctl.s, ctl.w)
+        st, c_st = surface.evaluate_many(s_all, w_all)
+        s1t, s0t = st[:n1], st[n1:]
         stage = "m1"
-        m1, c2 = nw_curve_many(tre.w, s1t, bw.h1, cfg.kernel, w_all, cfg)
+        m1, c_m1 = nw_curve_many(tre.w, s1t, bw.h1, cfg.kernel, w_all, cfg)
         stage = "m0"
-        m0, c3 = nw_curve_many(ctl.w, s0t, bw.h0, cfg.kernel, w_all, cfg)
-        # covariate-ignoring: the arms' surrogates carried through the 1-D curve
-        stage = "covariate-ignoring curve (treated arm)"
-        y1t, c4 = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, tre.s, cfg)
-        stage = "covariate-ignoring curve (control arm)"
-        y0t, c5 = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, ctl.s, cfg)
+        m0, c_m0 = nw_curve_many(ctl.w, s0t, bw.h0, cfg.kernel, w_all, cfg)
+        stage = "covariate-ignoring curve"
+        yt, c_p = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, s_all, cfg)
     except OutOfSupport as exc:
         raise OutOfSupport(f"{stage}: {exc}", indices=exc.indices) from None
-    clamped = c1 + c0 + c2 + c3
-    blend = pi0 * m1 + pi1 * m0
+    clamped = c_st + c_m1 + c_m0
+    resid = st - (pi0 * m1 + pi1 * m0)  # less the arm-share blend of m1 and m0
 
     def sigma_h(delta: float) -> float:
         # each arm's residual is centered: the pi-weighted m level sits
         # pi1*delta below the treated mean and pi0*delta above the control
-        # mean, so the treated term subtracts pi1*delta and the control term
-        # adds pi0*delta.  With a subtracted control term the control
-        # residuals carry a -2*pi0*delta offset and the variance estimate is
-        # inflated whenever delta is large against the control-arm spread.
-        r1 = s1t - blend[:n1] - pi1 * delta
-        r0 = s0t - blend[n1:] + pi0 * delta
+        # mean.  Subtracting pi0*delta instead would leave the control
+        # residuals a -2*pi0*delta offset that inflates the variance.
+        r1 = resid[:n1] - pi1 * delta
+        r0 = resid[n1:] + pi0 * delta
         return math.sqrt(float((r1 * r1).sum()) / n1**2 + float((r0 * r0).sum()) / n0**2)
 
     pooled = float((m1 - m0).mean())
-    simple = float(s1t.mean() - s0t.mean())
     twostage = float(m1[:n1].mean() - m0[n1:].mean())
-    aug = float((s1t - blend[:n1]).mean() - (s0t - blend[n1:]).mean())
+    aug = float(resid[:n1].mean() - resid[n1:].mean())
     e1 = s1t - m1[:n1]
     e0 = s0t - m0[n1:]
     g = m1 - m0 - pooled
@@ -191,16 +187,12 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) 
     out = {
         Method.H_POOLED: EstimateWithSE(pooled, sigma_h(pooled),
                                         Method.H_POOLED, n1, n0, clamped),
-        Method.H_SIMPLE: EstimateWithSE(simple, _two_sample_se(s1t, s0t),
-                                        Method.H_SIMPLE, n1, n0, c1 + c0),
+        Method.H_SIMPLE: _arm_contrast(s1t, s0t, Method.H_SIMPLE, c_st),
         Method.H_TWOSTAGE: EstimateWithSE(twostage, sigma_h(twostage),
                                           Method.H_TWOSTAGE, n1, n0, clamped),
         Method.H_AUG: EstimateWithSE(aug, sigma_aug, Method.H_AUG, n1, n0, clamped),
-        Method.P: EstimateWithSE(float(y1t.mean() - y0t.mean()),
-                                 _two_sample_se(y1t, y0t), Method.P, n1, n0, c4 + c5),
+        Method.P: _arm_contrast(yt[:n1], yt[n1:], Method.P, c_p),
     }
     if tre.has_outcome and ctl.has_outcome:
-        out[Method.GOLD] = EstimateWithSE(float(tre.y.mean() - ctl.y.mean()),
-                                          _two_sample_se(tre.y, ctl.y),
-                                          Method.GOLD, n1, n0)
+        out[Method.GOLD] = _arm_contrast(tre.y, ctl.y, Method.GOLD)
     return out

@@ -26,17 +26,18 @@ __all__ = [
     "BANDWIDTH_RECIPE",
     "sample_spread",
     "rule_of_thumb_bandwidth",
+    "bandwidth_spread",
     "default_bandwidths",
     "nw_curve_many",
     "nw_surface_many",
 ]
 
-# Queries per block in the vectorized evaluators; bounds peak memory at
-# roughly _CHUNK * n_data doubles per intermediate array.
+# Queries per block: a call peaks at one _CHUNK x n_data array of doubles per coordinate.
 _CHUNK = 4096
 
 # Minimum admissible summed kernel mass of a query (raw kernel sums, no 1/h);
-# below it the out-of-bounds policy applies.
+# below it the out-of-bounds policy applies.  A data point's own weight
+# K(0)^d >= 1/(2 pi) clears it at any bandwidth, so a clamped query always does.
 _DENOM_FLOOR = 1e-10
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -89,12 +90,15 @@ class SmoothingConfig:
 
 
 def _profile(kind: KernelKind, u: np.ndarray) -> np.ndarray:
-    """K(u) for an array of standardized distances."""
+    """K(u) for an array of standardized distances, written over u in place.
+    The Epanechnikov clip at 0 is its support test: u*u > 1 exactly when |u| > 1."""
+    u *= u
     if kind is KernelKind.EPANECHNIKOV:
-        out = 0.75 * (1.0 - u * u)
-        return np.where(np.abs(u) <= 1.0, out, 0.0)
+        np.maximum(np.subtract(1.0, u, out=u), 0.0, out=u)
+        return np.multiply(u, 0.75, out=u)
     if kind is KernelKind.GAUSSIAN:
-        return np.exp(-0.5 * u * u) / _SQRT_2PI
+        np.exp(np.multiply(u, -0.5, out=u), out=u)
+        return np.divide(u, _SQRT_2PI, out=u)
     raise ValueError(f"unhandled kernel kind {kind!r}")
 
 
@@ -106,12 +110,18 @@ def sample_spread(values) -> tuple[float, float]:
     return float(np.std(x, ddof=1)), float(q75 - q25)
 
 
+def bandwidth_spread(sd: float, iqr: float) -> tuple[str, float]:
+    """The (name, value) of the spread a rule-of-thumb bandwidth scales by:
+    IQR/1.34 when that is positive and below the sd, else the sd."""
+    return ("IQR/1.34", iqr / 1.34) if 0.0 < iqr / 1.34 < sd else ("sd", sd)
+
+
 def rule_of_thumb_bandwidth(values, exponent: float, multiplier: float = 1.0) -> float:
     """Normal-reference bandwidth: multiplier * 1.06 * min(sd, IQR/1.34) * n^exponent.
 
-    n is len(values) and (sd, IQR) come from sample_spread.  A zero IQR with a
-    nonzero sd (a binary covariate with over 75% of values in one group)
-    falls back to the sd, as R's bw.nrd0 does.
+    n is len(values) and bandwidth_spread picks from sample_spread's (sd, IQR).
+    A zero IQR with a nonzero sd (a binary covariate with over 75% of values
+    in one group) falls back to the sd, as R's bw.nrd0 does.
     """
     x = np.asarray(values, dtype=float)
     if x.size < 2:
@@ -120,7 +130,7 @@ def rule_of_thumb_bandwidth(values, exponent: float, multiplier: float = 1.0) ->
     if sd == 0.0:
         raise DegenerateSpread(
             f"degenerate spread (sd={sd}, IQR={iqr}); all values equal?")
-    spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
+    _, spread = bandwidth_spread(sd, iqr)
     return multiplier * 1.06 * spread * float(x.size) ** exponent
 
 
@@ -169,7 +179,6 @@ def default_bandwidths(paired, kernel: KernelKind = KernelKind.EPANECHNIKOV) -> 
     The normal-reference constant 1.06 is used for either kernel; `kernel` is
     accepted so call sites can keep config plumbing uniform.
     """
-    del kernel  # constants are normal-reference regardless of kernel shape
     return Bandwidths(**{rule.name: rule.resolve(rule.arm_of(paired))
                          for rule in BANDWIDTH_RECIPE})
 
@@ -185,12 +194,15 @@ def _kernel_sums(data, ys, queries, kernel: KernelKind) -> tuple[np.ndarray, np.
     No 1/h factor: the ratio cancels it anyway and the mass floor must not
     depend on the bandwidth scale.  The numerator is `vecdot`, one dot
     product per row, since BLAS gemv's row bits vary with the block's rows.
+    All coordinates share one weight array, which malloc keeps between calls.
     """
-    wts = None
-    for (x, h), qd in zip(data, queries):
-        k = _profile(kernel, (x[None, :] - qd[:, None]) / h)
-        wts = k if wts is None else np.multiply(wts, k, out=wts)
-    return np.vecdot(wts, ys), wts.sum(axis=1)
+    k = np.empty((len(data), queries[0].size, ys.size))
+    for (x, h), qd, u in zip(data, queries, k):
+        np.subtract(x[None, :], qd[:, None], out=u)
+        _profile(kernel, np.divide(u, h, out=u))
+    for kd in k[1:]:
+        k[0] *= kd
+    return np.vecdot(k[0], ys), k[0].sum(axis=1)
 
 
 def _nearest_points(data, points) -> list:
@@ -227,11 +239,6 @@ def _nw_product(data, ys, queries, kernel: KernelKind,
         if bad.size:
             num[bad], den[bad] = _kernel_sums(
                 data, ys, _nearest_points(data, [qd[bad] for qd in q]), kernel)
-            still = bad[den[bad] < _DENOM_FLOOR]
-            if still.size:
-                raise OutOfSupport(
-                    "kernel mass below floor even at the nearest data point "
-                    "(bandwidths too large for the floor?)", indices=still + lo)
             clamped += int(bad.size)
         out[lo:lo + _CHUNK] = num / den
     if offenders:

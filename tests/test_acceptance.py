@@ -37,6 +37,9 @@ from surrtest.smoothing import (
     nw_surface_many,
 )
 
+# every test here shares the eight cached reference campaigns
+pytestmark = pytest.mark.slow
+
 # One frozen master seed per setting: the reference tables correspond to a
 # single prior-study realization each, and the targets below are only
 # meaningful for a prior draw near the reference one.

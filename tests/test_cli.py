@@ -222,15 +222,24 @@ def test_tilde_target_failure_names_its_stage(tmp_path, capsys):
 
 def test_failed_replication_names_replication_and_stage(tmp_path, capsys):
     # with a fresh prior per replication, setting 1's first replication fails
-    # already when the treated arm is carried through the surface
+    # already when the current arms are carried through the surface; both
+    # arms go through one call, so the error counts both arms' offenders
     code, _, err = run_cli(["simulate", "--setting", "1", "--reps", "40",
                             "--no-fix-prior", "--oob", "error",
                             "--out", str(tmp_path / "o")], capsys)
     assert code == 1
     assert err == ("error (OutOfSupport): 40 of 40 replications failed kernel-support "
-                   "checks; first failure (replication 0): surface transport "
-                   "(treated arm): 31 query point(s) have kernel mass below 1e-10; "
+                   "checks; first failure (replication 0): surface transport: "
+                   "50 query point(s) have kernel mass below 1e-10; "
                    "nearest-point clamping is disabled\n")
+    # replication 0's pair, scored alone: the treated queries come first
+    paired = validate_paired(generate_setting(1, "prior", 1000, 800, 1, rep=0),
+                             generate_setting(1, "current", 300, 300, 1, rep=0))
+    with pytest.raises(OutOfSupport) as exc_info:
+        estimate_suite(paired, default_bandwidths(paired),
+                       SmoothingConfig(oob_policy=OobPolicy.ERROR))
+    indices = exc_info.value.indices
+    assert (indices < 300).sum() == 31 and (indices >= 300).sum() == 19
 
 
 def test_simulate_rejects_zero_reps(tmp_path, capsys):
@@ -319,10 +328,33 @@ def test_bandwidths_command(csv_pair, tmp_path, capsys):
     assert all(isinstance(r["n"], int) and isinstance(r["exponent"], float)
                and isinstance(r["multiplier"], float) for r in stats)
     header, rows = csv_rows(out)
-    assert header == ["name", "value", "variable", "sd", "iqr", "n",
+    assert header == ["name", "value", "variable", "sd", "iqr", "spread", "n",
                       "exponent", "multiplier"]
-    assert [(c[0], c[2], c[5], c[6], c[7]) for c in (r.split(",") for r in rows)] == \
+    assert [(c[0], c[2], c[6], c[7], c[8]) for c in (r.split(",") for r in rows)] == \
         [(name, var, str(n), repr(e), repr(m)) for name, var, n, e, m in recipe]
+    # each row names the spread its value scales by
+    for r in stats:
+        spread = r["sd"] if r["spread"] == "sd" else r["iqr"] / 1.34
+        assert r["value"] == pytest.approx(
+            r["multiplier"] * 1.06 * spread * r["n"] ** r["exponent"], rel=1e-12)
+
+
+def test_bandwidths_binary_covariate_names_sd(tmp_path, capsys):
+    # a 0/1 covariate with 20% ones has IQR 0, so its bandwidths scale by the sd
+    n = 100
+    w = np.r_[np.zeros(80), np.ones(20)]
+    s = np.linspace(0.0, 10.0, n)
+    arm = StudyArm(s=s, w=w, y=s + 1.0)
+    write_study_csv(TwoArmStudy(treated=arm, control=arm), tmp_path / "pair.csv")
+    out = tmp_path / "o"
+    code, stdout, _ = run_cli(["bandwidths", str(tmp_path / "pair.csv"),
+                               str(tmp_path / "pair.csv"), "--out", str(out)], capsys)
+    assert code == 0
+    rows = {r["name"]: r for r in read_report(out)["statistics"]}
+    for name in ("h0", "h1", "h3"):  # the covariate rules
+        assert rows[name]["iqr"] == 0.0 and rows[name]["spread"] == "sd"
+    h0_line = next(line for line in stdout.splitlines() if line.startswith("h0 "))
+    assert " sd " in h0_line
 
 
 def test_bandwidths_constant_marker_names_column(csv_pair, tmp_path, capsys):

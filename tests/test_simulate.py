@@ -116,6 +116,7 @@ def test_true_deltas_closed_forms():
     assert true_deltas(8) == (0.0, 0.0)
 
 
+@pytest.mark.slow
 def test_tilde_approaches_population_value_with_big_prior():
     # with a large prior study the fitted surface is near the population one
     prior = generate_setting(5, "prior", 4000, 8000, master_seed=1)

@@ -1,4 +1,10 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +22,12 @@ from surrtest.smoothing import (
     KernelKind,
     OobPolicy,
     SmoothingConfig,
+    bandwidth_spread,
     default_bandwidths,
     nw_curve_many,
     nw_surface_many,
     rule_of_thumb_bandwidth,
+    sample_spread,
 )
 
 EPA = KernelKind.EPANECHNIKOV
@@ -44,6 +52,11 @@ def test_epanechnikov_values():
     assert _two_point(EPA, 0.5, 1.0) == pytest.approx(3.0 / 7.0, abs=1e-15)
     for u in (1.0, -1.0, 2.0):
         assert _two_point(EPA, u, 1.0) == 0.0
+    # the support edge, one ulp either side: the clip at 0 is the |u| <= 1 test
+    above, below = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    for sign in (1.0, -1.0):
+        assert _two_point(EPA, sign * above, 1.0) == 0.0
+        assert _two_point(EPA, sign * below, 1.0) > 0.0
 
 
 def test_gaussian_values():
@@ -120,6 +133,7 @@ def test_rule_of_thumb_degenerate():
     assert rule_of_thumb_bandwidth(x, -0.4) == 1.06 * np.std(x, ddof=1) * 11 ** -0.4
     x = [0.0] * 80 + [1.0] * 20
     assert rule_of_thumb_bandwidth(x, -0.4) == 1.06 * np.std(x, ddof=1) * 100 ** -0.4
+    assert bandwidth_spread(*sample_spread(x)) == ("sd", np.std(x, ddof=1))
     assert rule_of_thumb_bandwidth(x, -0.4) == pytest.approx(0.067538, rel=1e-5)
 
 
@@ -289,6 +303,61 @@ def test_values_do_not_depend_on_query_batching(dim, kind, policy, cuts):
     direct, n_direct = smooth([x[nearest] for x, _ in data])
     assert n_direct == 0
     assert np.array_equal(whole[low], direct)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["curve", "surface"])
+@pytest.mark.parametrize("kind", [EPA, GAU], ids=["epanechnikov", "gaussian"])
+def test_call_peaks_at_one_block_per_coordinate(dim, kind):
+    # each coordinate's kernel weights are written once over one block-sized
+    # buffer, so a call's allocations peak below (d + 1/4) blocks of doubles
+    rng = np.random.default_rng(12)
+    n_data, n_queries = 10**4, 600
+    data = [rng.uniform(0, 10, n_data) for _ in range(dim)]
+    ys = rng.normal(0, 1, n_data)
+    queries = [rng.uniform(1, 9, n_queries) for _ in range(dim)]
+    cfg = SmoothingConfig(kernel=kind, oob_policy=OobPolicy.ERROR)
+    tracemalloc.start()
+    try:
+        if dim == 1:
+            nw_curve_many(data[0], ys, 0.5, kind, queries[0], cfg)
+        else:
+            nw_surface_many(*data, ys, 0.5, 0.5, kind, *queries, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (dim + 0.25) * n_queries * n_data * 8
+
+
+_REPEATED_SURFACE_CALLS = """
+import resource
+import numpy as np
+from surrtest.smoothing import KernelKind, OobPolicy, SmoothingConfig, nw_surface_many
+rng = np.random.default_rng(5)
+s, w, y, s0, w0 = (rng.uniform(0, 1, n) for n in (800, 800, 800, 600, 600))
+cfg = SmoothingConfig(oob_policy=OobPolicy.CLAMP_TO_NEAREST)
+def call():
+    nw_surface_many(s, w, y, 0.3, 0.3, KernelKind.EPANECHNIKOV, s0, w0, cfg)
+call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    call()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc malloc")
+def test_repeated_surface_calls_reuse_their_memory():
+    # A campaign-sized surface block (600 queries x 800 points, two
+    # coordinates) allocated as two arrays was trimmed from the heap on free
+    # and faulted in again by every call: about 1900 minor faults per call.
+    # A fresh interpreter, so no earlier test has set malloc's thresholds.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _REPEATED_SURFACE_CALLS], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 600 * 800 * 8 // 4096  # ten calls, under one block's pages
 
 
 def test_nw_input_validation():
