@@ -326,8 +326,8 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
     With fix_prior (the default) one prior study is drawn from the master
     seed, one surface is implied, and the tilde target is computed once by
     Monte Carlo before any replication runs.  Each replication draws from its
-    own streams and its record keeps its index, in a serial loop or, with
-    threads > 1, a thread pool; the result is identical for any thread count.
+    own streams and its record keeps its index in a pool of cfg.threads
+    threads; the result is identical for any thread count.
     """
     scfg = cfg.smoothing()
     truth_delta, truth_delta_h = true_deltas(cfg.setting)
@@ -349,11 +349,8 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
                                "--no-fix-prior skips it", indices=exc.indices) from None
 
     replicate = partial(_one_replication, cfg, prior, scfg)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            records = list(pool.map(replicate, range(cfg.reps)))
-    else:
-        records = [replicate(rep) for rep in range(cfg.reps)]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        records = list(pool.map(replicate, range(cfg.reps)))
 
     failed = [rep for rep, r in enumerate(records) if isinstance(r, OutOfSupport)]
     if len(failed) > 0.01 * cfg.reps:

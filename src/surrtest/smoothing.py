@@ -32,8 +32,9 @@ __all__ = [
     "nw_surface_many",
 ]
 
-# Queries per block: a call peaks at one _CHUNK x n_data array of doubles per coordinate.
-_CHUNK = 4096
+# Kernel weights per query block, 16 MiB: under glibc's 32 MiB mmap ceiling, so a
+# block stays in malloc's heap, yet a campaign surface call (600 x 800 x 2) is one block.
+_BLOCK_DOUBLES = 2**21
 
 # Minimum admissible summed kernel mass of a query (raw kernel sums, no 1/h);
 # below it the out-of-bounds policy applies.  A data point's own weight
@@ -219,34 +220,33 @@ def _nw_product(data, ys, queries, kernel: KernelKind,
                cfg: SmoothingConfig) -> tuple[np.ndarray, int]:
     """Product-kernel Nadaraya-Watson smoother over any number of coordinates.
 
-    `data` holds one (data coordinate, bandwidth) pair per dimension and
-    `queries` the matching query arrays.  Queries are evaluated in blocks of
-    _CHUNK; returns (values, clamped-query count).  Under the ERROR policy
-    every block is checked before OutOfSupport names all offending queries.
-    Under CLAMP_TO_NEAREST a low-mass query is re-evaluated at its nearest
-    data point.
+    `data` holds one (data coordinate, bandwidth) pair per dimension and `queries`
+    the matching query arrays; returns (values, clamped-query count).  A block of
+    queries holds at most _BLOCK_DOUBLES kernel weights, or past n_data =
+    _BLOCK_DOUBLES / d one query's d x n_data.  Under the ERROR policy every block
+    is checked before OutOfSupport names all offending queries; under
+    CLAMP_TO_NEAREST a low-mass query is re-evaluated at its nearest data point.
     """
     out = np.empty_like(queries[0])
-    clamped = 0
-    offenders = []  # global indices of low-mass queries, ERROR policy
-    for lo in range(0, out.size, _CHUNK):
-        q = [qd[lo:lo + _CHUNK] for qd in queries]
+    low = np.zeros(out.size, dtype=bool)  # queries with kernel mass below the floor
+    rows = max(1, _BLOCK_DOUBLES // (len(data) * ys.size))
+    for lo in range(0, out.size, rows):
+        q = [qd[lo:lo + rows] for qd in queries]
         num, den = _kernel_sums(data, ys, q, kernel)
-        bad = np.flatnonzero(den < _DENOM_FLOOR)
+        low[lo:lo + rows] = den < _DENOM_FLOOR
+        bad = np.flatnonzero(low[lo:lo + rows])
         if bad.size and cfg.oob_policy is OobPolicy.ERROR:
-            offenders.append(bad + lo)
             continue
         if bad.size:
             num[bad], den[bad] = _kernel_sums(
                 data, ys, _nearest_points(data, [qd[bad] for qd in q]), kernel)
-            clamped += int(bad.size)
-        out[lo:lo + _CHUNK] = num / den
-    if offenders:
-        bad = np.concatenate(offenders)
+        out[lo:lo + rows] = num / den
+    bad = np.flatnonzero(low)
+    if bad.size and cfg.oob_policy is OobPolicy.ERROR:
         raise OutOfSupport(
             f"{bad.size} query point(s) have kernel mass below "
             f"{_DENOM_FLOOR}; nearest-point clamping is disabled", indices=bad)
-    return out, clamped
+    return out, int(bad.size)
 
 
 def _smoother_inputs(data: dict, queries: dict) -> tuple[list, list]:

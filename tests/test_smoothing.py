@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surrtest import smoothing
 from surrtest.errors import (
     DegenerateSpread,
     NonFiniteValue,
@@ -35,6 +36,11 @@ GAU = KernelKind.GAUSSIAN
 
 ERR = SmoothingConfig(kernel=EPA, oob_policy=OobPolicy.ERROR)
 CLAMP = SmoothingConfig(kernel=EPA, oob_policy=OobPolicy.CLAMP_TO_NEAREST)
+
+
+def _block_rows(dim, n_data):
+    """Queries per smoother block against `dim` coordinates of `n_data` points."""
+    return smoothing._BLOCK_DOUBLES // (dim * n_data)
 
 
 # ---------------------------------------------------------------- kernels
@@ -247,9 +253,9 @@ def test_nw_surface_matches_curve_when_w_constant():
 def test_nw_chunking_consistent():
     # one call with many queries equals, bit for bit, many calls with one query
     rng = np.random.default_rng(9)
-    xs = rng.uniform(0, 10, 60)
-    ys = rng.normal(0, 1, 60)
-    q = rng.uniform(0.5, 9.5, 5000)  # crosses the internal chunk boundary
+    xs = rng.uniform(0, 10, 1000)
+    ys = rng.normal(0, 1, 1000)
+    q = rng.uniform(0.5, 9.5, 2 * _block_rows(1, 1000) + 100)  # three blocks
     many, _ = nw_curve_many(xs, ys, 2.0, EPA, q, ERR)
     singles = [nw_curve_many(xs, ys, 2.0, EPA, [x], ERR)[0][0] for x in q]
     assert np.array_equal(many, singles)
@@ -265,7 +271,8 @@ def _nearest_data_point(data, queries):
 @pytest.mark.parametrize("dim", [1, 2], ids=["curve", "surface"])
 @pytest.mark.parametrize("kind", [EPA, GAU], ids=["epanechnikov", "gaussian"])
 @pytest.mark.parametrize("policy", list(OobPolicy), ids=[p.value for p in OobPolicy])
-@pytest.mark.parametrize("cuts", [[1666], [1, 4095, 4097], [2500, 2501, 4999]],
+@pytest.mark.parametrize("cuts", [lambda rows: [1666], lambda rows: [1, rows - 1, rows + 1],
+                                  lambda rows: [2500, 2501, 4999]],
                          ids=["1666", "block-edges", "singles"])
 def test_values_do_not_depend_on_query_batching(dim, kind, policy, cuts):
     # a smoothed value depends only on its own query: any split of the
@@ -276,6 +283,8 @@ def test_values_do_not_depend_on_query_batching(dim, kind, policy, cuts):
     ys = rng.normal(0, 1, 801) + data[0][0]
     queries = [rng.uniform(0, 10, 5000) for _ in range(dim)]
     far = [7, 1666, 4200, 4999]
+    rows = _block_rows(dim, 801)
+    assert far[0] < rows <= far[-1]  # far queries on both sides of a block edge
     if policy is OobPolicy.CLAMP_TO_NEAREST:
         queries[0][far] = [-40.0, 60.0, 25.0, -15.0]
 
@@ -287,7 +296,7 @@ def test_values_do_not_depend_on_query_batching(dim, kind, policy, cuts):
                                data[1][1], kind, *q, cfg)
 
     whole, n_clamped = smooth(queries)
-    bounds = [0, *cuts, 5000]
+    bounds = [0, *cuts(rows), 5000]
     pieces = [smooth([q[lo:hi] for q in queries]) for lo, hi in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate([v for v, _ in pieces]), whole)
     assert sum(c for _, c in pieces) == n_clamped
@@ -308,32 +317,34 @@ def test_values_do_not_depend_on_query_batching(dim, kind, policy, cuts):
 @pytest.mark.parametrize("dim", [1, 2], ids=["curve", "surface"])
 @pytest.mark.parametrize("kind", [EPA, GAU], ids=["epanechnikov", "gaussian"])
 def test_call_peaks_at_one_block_per_coordinate(dim, kind):
-    # each coordinate's kernel weights are written once over one block-sized
-    # buffer, so a call's allocations peak below (d + 1/4) blocks of doubles
+    # every coordinate's kernel weights share one block of _BLOCK_DOUBLES,
+    # so a call's allocations peak below 1.25 blocks whatever the data size
     rng = np.random.default_rng(12)
-    n_data, n_queries = 10**4, 600
-    data = [rng.uniform(0, 10, n_data) for _ in range(dim)]
-    ys = rng.normal(0, 1, n_data)
-    queries = [rng.uniform(1, 9, n_queries) for _ in range(dim)]
     cfg = SmoothingConfig(kernel=kind, oob_policy=OobPolicy.ERROR)
-    tracemalloc.start()
-    try:
-        if dim == 1:
-            nw_curve_many(data[0], ys, 0.5, kind, queries[0], cfg)
-        else:
-            nw_surface_many(*data, ys, 0.5, 0.5, kind, *queries, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < (dim + 0.25) * n_queries * n_data * 8
+    for n_data in (10**4, 2 * 10**4):
+        data = [rng.uniform(0, 10, n_data) for _ in range(dim)]
+        ys = rng.normal(0, 1, n_data)
+        queries = [rng.uniform(1, 9, 600) for _ in range(dim)]
+        tracemalloc.start()
+        try:
+            if dim == 1:
+                nw_curve_many(data[0], ys, 0.5, kind, queries[0], cfg)
+            else:
+                nw_surface_many(*data, ys, 0.5, 0.5, kind, *queries, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * smoothing._BLOCK_DOUBLES * 8, n_data
 
 
 _REPEATED_SURFACE_CALLS = """
 import resource
+import sys
 import numpy as np
 from surrtest.smoothing import KernelKind, OobPolicy, SmoothingConfig, nw_surface_many
 rng = np.random.default_rng(5)
-s, w, y, s0, w0 = (rng.uniform(0, 1, n) for n in (800, 800, 800, 600, 600))
+n = int(sys.argv[1])  # queries per call
+s, w, y, s0, w0 = (rng.uniform(0, 1, k) for k in (800, 800, 800, n, n))
 cfg = SmoothingConfig(oob_policy=OobPolicy.CLAMP_TO_NEAREST)
 def call():
     nw_surface_many(s, w, y, 0.3, 0.3, KernelKind.EPANECHNIKOV, s0, w0, cfg)
@@ -350,14 +361,19 @@ def test_repeated_surface_calls_reuse_their_memory():
     # A campaign-sized surface block (600 queries x 800 points, two
     # coordinates) allocated as two arrays was trimmed from the heap on free
     # and faulted in again by every call: about 1900 minor faults per call.
-    # A fresh interpreter, so no earlier test has set malloc's thresholds.
+    # A tilde-sized call (20,000 queries) in 4096-query blocks of 52 MB was
+    # mapped anew for every block, above glibc's 32 MiB mmap ceiling: about
+    # 2700 faults per call.  A fresh interpreter per shape, so no earlier
+    # call has set malloc's thresholds.
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", _REPEATED_SURFACE_CALLS], env=env,
-                          capture_output=True, text=True, check=True)
-    assert int(done.stdout) < 600 * 800 * 8 // 4096  # ten calls, under one block's pages
+    for n_queries, block_bytes in ((600, 600 * 800 * 8),
+                                   (20_000, smoothing._BLOCK_DOUBLES * 8)):
+        done = subprocess.run([sys.executable, "-c", _REPEATED_SURFACE_CALLS, str(n_queries)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert int(done.stdout) < block_bytes // 4096, n_queries  # ten calls, under one block's pages
 
 
 def test_nw_input_validation():
@@ -408,19 +424,26 @@ def test_error_policy_raises_with_indices():
 
 @pytest.mark.parametrize("offenders", [[10, 5000, 5001], [5000, 5001]])
 def test_error_policy_indices_span_query_blocks(offenders):
-    # 6000 queries take two 4096-query blocks; the indices and the count in
-    # the message cover every block, not just the first offending one
+    # 6000 queries take two blocks against 512 data points; the indices and
+    # the count in the message cover every block, not just the first
+    # offending one
+    xs = np.linspace(0.0, 2.0, 512)
+    rows = _block_rows(1, xs.size)
+    assert 10 < rows <= 5000 and 6000 <= 2 * rows  # the block edge lies between 10 and 5000
     x0s = np.linspace(0.0, 2.0, 6000)
     x0s[offenders] = 50.0
     with pytest.raises(OutOfSupport, match=f"^{len(offenders)} query point") as exc_info:
-        nw_curve_many([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], 0.5, EPA, x0s, ERR)
+        nw_curve_many(xs, xs + 1.0, 0.5, EPA, x0s, ERR)
     assert [int(i) for i in exc_info.value.indices] == offenders
 
 
 def test_clamp_policy_spans_query_blocks():
-    # 6000 queries take two 4096-query blocks, with one offender in the first
-    # and two in the second
-    xs, ys, h = [0.0, 0.5, 1.0, 1.5, 2.0], [1.0, 4.0, 2.0, 8.0, 3.0], 0.5
+    # 6000 queries take two blocks against 512 data points, with one
+    # offender in the first and two in the second
+    xs, h = np.linspace(0.0, 2.0, 512), 0.5
+    ys = np.random.default_rng(3).normal(0, 1, xs.size)
+    rows = _block_rows(1, xs.size)
+    assert 10 < rows <= 5000 and 6000 <= 2 * rows  # the block edge lies between 10 and 5000
     clean = np.linspace(0.0, 2.0, 6000)
     x0s = clean.copy()
     x0s[[10, 5000, 5001]] = [50.0, -40.0, 30.0]
