@@ -11,6 +11,8 @@ does not.  Non-finite values are hard errors, never imputed.
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -107,23 +109,26 @@ def _parse_float(cell: str, column: str, path, line_no: int) -> float:
     except (TypeError, ValueError):
         raise NonFiniteValue(
             f"{path} line {line_no}: cannot parse {column}={cell!r} as a number") from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise NonFiniteValue(f"{path} line {line_no}: non-finite {column}={cell!r}")
     return v
 
 
 def load_study_csv(path) -> TwoArmStudy:
-    """Read one study CSV and partition rows by treatment indicator."""
-    rows = {0: {"s": [], "w": [], "y": []}, 1: {"s": [], "w": [], "y": []}}
+    """Read one study CSV and partition rows by treatment indicator.
+
+    Each arm's s, w and y cells fill double arrays.  A blank outcome cell, and
+    every outcome of a file with no y column, is stored as NaN, which no parsed
+    cell can be, so an arm's NaN count alone says whether it has outcomes.
+    """
+    cols = {g: (array("d"), array("d"), array("d")) for g in (0, 1)}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise MissingColumn(f"{path}: empty file, no header row")
-        header = set(reader.fieldnames)
         for key in ("z", "s", "w"):
-            if key not in header:
+            if key not in reader.fieldnames:
                 raise MissingColumn(f"{path}: required column {key!r} missing")
-        has_y_col = "y" in header
 
         for row in reader:
             line_no = reader.line_num  # the physical line: blank lines count
@@ -136,30 +141,23 @@ def load_study_csv(path) -> TwoArmStudy:
             if z_val not in (0.0, 1.0):
                 raise InvalidTreatmentCode(
                     f"{path} line {line_no}: treatment code must be 0 or 1, got {z_raw!r}")
-            g = int(z_val)
-            rows[g]["s"].append(_parse_float(row.get("s"), "s", path, line_no))
-            rows[g]["w"].append(_parse_float(row.get("w"), "w", path, line_no))
-            if has_y_col:
-                y_cell = row.get("y")
-                y_cell = y_cell.strip() if y_cell is not None else ""
-                rows[g]["y"].append(
-                    None if y_cell == "" else _parse_float(y_cell, "y", path, line_no))
+            s, w, y = cols[int(z_val)]
+            s.append(_parse_float(row.get("s"), "s", path, line_no))
+            w.append(_parse_float(row.get("w"), "w", path, line_no))
+            y_cell = (row.get("y") or "").strip()
+            y.append(_parse_float(y_cell, "y", path, line_no) if y_cell else math.nan)
 
     arms = {}
     for g in (1, 0):
-        if not rows[g]["s"]:
+        s, w, y = cols[g]
+        if not s:
             raise EmptyArm(f"{path}: no rows with z={g}")
-        y_cells = rows[g]["y"]
-        if not has_y_col or all(v is None for v in y_cells):
-            y = None
-        elif any(v is None for v in y_cells):
-            n_blank = sum(v is None for v in y_cells)
+        n_blank = int(np.isnan(y).sum())
+        if 0 < n_blank < len(y):
             raise MixedOutcomePresence(
                 f"{path}: arm z={g} has {n_blank} blank outcome cell(s) out of "
-                f"{len(y_cells)}; an arm must have all outcomes or none")
-        else:
-            y = y_cells
-        arms[g] = StudyArm(s=rows[g]["s"], w=rows[g]["w"], y=y)
+                f"{len(y)}; an arm must have all outcomes or none")
+        arms[g] = StudyArm(s=s, w=w, y=None if n_blank else y)
     return TwoArmStudy(treated=arms[1], control=arms[0])
 
 

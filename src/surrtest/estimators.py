@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import MissingPriorOutcome, OutOfSupport, ZeroDenominator
 from .smoothing import (
     Bandwidths,
     KernelKind,
+    OobPolicy,
     SmoothingConfig,
     nw_curve_many,
     nw_surface_many,
@@ -133,9 +134,10 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) 
     of m1 and m0, and its SE uses the pooled estimate as its contrast center.
     Both arms go through the surface, and through the covariate-ignoring
     curve, in one call each; the simple form counts only that surface call's
-    clamps.  Every call takes the treated queries first, and so do the indices
-    of an OutOfSupport, which names its failing stage.  The gold row appears
-    only when both current arms carry outcomes.
+    clamps.  Every call takes the treated queries first.  Under the ERROR
+    policy one OutOfSupport names every failing stage, each evaluated with
+    clamping so the later stages still run; its indices are the first failing
+    stage's.  The gold row appears only when both current arms carry outcomes.
     """
     surface = fit_mu0_surface(paired, bw, cfg.kernel, cfg)
     tre, ctl = paired.current.treated, paired.current.control
@@ -146,18 +148,25 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) 
     s_all = np.concatenate([tre.s, ctl.s])
     w_all = np.concatenate([tre.w, ctl.w])
 
-    stage = "surface transport"
-    try:
-        st, c_st = surface.evaluate_many(s_all, w_all)
-        s1t, s0t = st[:n1], st[n1:]
-        stage = "m1"
-        m1, c_m1 = nw_curve_many(tre.w, s1t, bw.h1, cfg.kernel, w_all, cfg)
-        stage = "m0"
-        m0, c_m0 = nw_curve_many(ctl.w, s0t, bw.h0, cfg.kernel, w_all, cfg)
-        stage = "covariate-ignoring curve"
-        yt, c_p = nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, s_all, cfg)
-    except OutOfSupport as exc:
-        raise OutOfSupport(f"{stage}: {exc}", indices=exc.indices) from None
+    failures = []
+
+    def stage(name: str, smooth):
+        try:
+            return smooth(cfg)
+        except OutOfSupport as exc:  # clamp it, so the later stages still run
+            failures.append((name, exc))
+            return smooth(replace(cfg, oob_policy=OobPolicy.CLAMP_TO_NEAREST))
+
+    st, c_st = stage("surface transport",
+                     lambda c: replace(surface, cfg=c).evaluate_many(s_all, w_all))
+    s1t, s0t = st[:n1], st[n1:]
+    m1, c_m1 = stage("m1", lambda c: nw_curve_many(tre.w, s1t, bw.h1, cfg.kernel, w_all, c))
+    m0, c_m0 = stage("m0", lambda c: nw_curve_many(ctl.w, s0t, bw.h0, cfg.kernel, w_all, c))
+    yt, c_p = stage("covariate-ignoring curve",
+                    lambda c: nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, s_all, c))
+    if failures:
+        raise OutOfSupport("; ".join(f"{name}: {exc}" for name, exc in failures),
+                           indices=failures[0][1].indices)
     clamped = c_st + c_m1 + c_m0
     resid = st - (pi0 * m1 + pi1 * m0)  # less the arm-share blend of m1 and m0
 

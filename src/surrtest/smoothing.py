@@ -223,9 +223,9 @@ def _nw_product(data, ys, queries, kernel: KernelKind,
     `data` holds one (data coordinate, bandwidth) pair per dimension and `queries`
     the matching query arrays; returns (values, clamped-query count).  A block of
     queries holds at most _BLOCK_DOUBLES kernel weights, or past n_data =
-    _BLOCK_DOUBLES / d one query's d x n_data.  Under the ERROR policy every block
-    is checked before OutOfSupport names all offending queries; under
-    CLAMP_TO_NEAREST a low-mass query is re-evaluated at its nearest data point.
+    _BLOCK_DOUBLES / d one query's d x n_data.  Either policy evaluates a
+    low-mass query at its nearest data point; under ERROR, OutOfSupport then
+    names every offending query.
     """
     out = np.empty_like(queries[0])
     low = np.zeros(out.size, dtype=bool)  # queries with kernel mass below the floor
@@ -235,8 +235,6 @@ def _nw_product(data, ys, queries, kernel: KernelKind,
         num, den = _kernel_sums(data, ys, q, kernel)
         low[lo:lo + rows] = den < _DENOM_FLOOR
         bad = np.flatnonzero(low[lo:lo + rows])
-        if bad.size and cfg.oob_policy is OobPolicy.ERROR:
-            continue
         if bad.size:
             num[bad], den[bad] = _kernel_sums(
                 data, ys, _nearest_points(data, [qd[bad] for qd in q]), kernel)

@@ -231,6 +231,8 @@ def test_failed_replication_names_replication_and_stage(tmp_path, capsys):
     assert err == ("error (OutOfSupport): 40 of 40 replications failed kernel-support "
                    "checks; first failure (replication 0): surface transport: "
                    "50 query point(s) have kernel mass below 1e-10; "
+                   "nearest-point clamping is disabled; covariate-ignoring curve: "
+                   "7 query point(s) have kernel mass below 1e-10; "
                    "nearest-point clamping is disabled\n")
     # replication 0's pair, scored alone: the treated queries come first
     paired = validate_paired(generate_setting(1, "prior", 1000, 800, 1, rep=0),
@@ -240,6 +242,35 @@ def test_failed_replication_names_replication_and_stage(tmp_path, capsys):
                        SmoothingConfig(oob_policy=OobPolicy.ERROR))
     indices = exc_info.value.indices
     assert (indices < 300).sum() == 31 and (indices >= 300).sum() == 19
+
+
+def test_oob_error_names_every_failing_stage(tmp_path, capsys):
+    # on this setting-1 pair, surface transport fails for 20 treated and 16
+    # control queries and the covariate-ignoring curve for 6; m1 and m0 pass.
+    # The first failure must not hide the later one.
+    prior = generate_setting(1, "prior", 1000, 800, 11)
+    current = generate_setting(1, "current", 300, 300, 11)
+    write_study_csv(prior, tmp_path / "prior.csv")
+    write_study_csv(current, tmp_path / "current.csv")
+    code, _, err = run_cli(["test", str(tmp_path / "prior.csv"),
+                            str(tmp_path / "current.csv"), "--oob", "error",
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert err == ("error (OutOfSupport): surface transport: 36 query point(s) "
+                   "have kernel mass below 1e-10; nearest-point clamping is "
+                   "disabled; covariate-ignoring curve: 6 query point(s) have "
+                   "kernel mass below 1e-10; nearest-point clamping is disabled\n")
+    paired = validate_paired(prior, current)
+    bw = default_bandwidths(paired)
+    with pytest.raises(OutOfSupport) as exc_info:
+        estimate_suite(paired, bw, SmoothingConfig(oob_policy=OobPolicy.ERROR))
+    # the indices are the first failing stage's, treated queries first
+    indices = exc_info.value.indices
+    assert (indices < 300).sum() == 20 and (indices >= 300).sum() == 16
+    # clamping clamps the same queries in each stage
+    suite = estimate_suite(paired, bw, SmoothingConfig(oob_policy=OobPolicy.CLAMP_TO_NEAREST))
+    assert suite[Method.H_SIMPLE].n_clamped == suite[Method.H_POOLED].n_clamped == 36
+    assert suite[Method.P].n_clamped == 6
 
 
 def test_simulate_rejects_zero_reps(tmp_path, capsys):

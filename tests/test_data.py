@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,21 @@ def test_roundtrip_blinded(tmp_path):
     assert not back.treated.has_outcome
     assert back.control.has_outcome
     np.testing.assert_array_equal(back.control.y, full.control.y)
+
+
+def test_load_holds_at_most_eight_doubles_per_row(tmp_path):
+    # the loader keeps each arm's cells in double arrays, not lists of Python
+    # floats: three columns and their arm copies fit in 8 doubles per row
+    p = tmp_path / "prior.csv"
+    write_study_csv(generate_setting(1, "prior", 10**4, 10**4, master_seed=1), p)
+    tracemalloc.start()
+    try:
+        study = load_study_csv(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert study.n == 2 * 10**4
+    assert peak < 8 * 8 * study.n
 
 
 # ------------------------------------------------------------- validation
