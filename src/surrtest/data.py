@@ -148,8 +148,8 @@ def load_study_csv(path) -> TwoArmStudy:
             y.append(_parse_float(y_cell, "y", path, line_no) if y_cell else math.nan)
 
     arms = {}
-    for g in (1, 0):
-        s, w, y = cols[g]
+    for g in (1, 0):  # popped, so arm 1's raw columns are freed before arm 0 is copied
+        s, w, y = cols.pop(g)
         if not s:
             raise EmptyArm(f"{path}: no rows with z={g}")
         n_blank = int(np.isnan(y).sum())

@@ -52,13 +52,15 @@ class DegenerateSpread(DataError):
 class OutOfSupport(SurrtestError):
     """Kernel neighborhood around a query point carries no mass.
 
-    Raised only under the Error out-of-bounds policy; carries the offending
-    query indices when the failure happened inside a vectorized evaluation.
+    Raised only under the Error out-of-bounds policy.  `indices` names the
+    offending queries of a vectorized evaluation; a smoother's error also
+    carries in `values` what the clamp policy returns for the same call.
     """
 
-    def __init__(self, message, indices=None):
+    def __init__(self, message, indices=None, values=None):
         super().__init__(message)
         self.indices = indices
+        self.values = values
 
 
 class ZeroDenominator(SurrtestError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import MissingPriorOutcome, OutOfSupport, ZeroDenominator
 from .smoothing import (
     Bandwidths,
     KernelKind,
-    OobPolicy,
     SmoothingConfig,
     nw_curve_many,
     nw_surface_many,
@@ -134,10 +133,10 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) 
     of m1 and m0, and its SE uses the pooled estimate as its contrast center.
     Both arms go through the surface, and through the covariate-ignoring
     curve, in one call each; the simple form counts only that surface call's
-    clamps.  Every call takes the treated queries first.  Under the ERROR
-    policy one OutOfSupport names every failing stage, each evaluated with
-    clamping so the later stages still run; its indices are the first failing
-    stage's.  The gold row appears only when both current arms carry outcomes.
+    clamps.  Every call takes the treated queries first, and each is made once:
+    under ERROR a failing stage's OutOfSupport.values (clamped) feed the later
+    stages, and one OutOfSupport names every failing stage with the first one's
+    indices.  The gold row appears only when both current arms carry outcomes.
     """
     surface = fit_mu0_surface(paired, bw, cfg.kernel, cfg)
     tre, ctl = paired.current.treated, paired.current.control
@@ -152,18 +151,17 @@ def estimate_suite(paired: PairedStudies, bw: Bandwidths, cfg: SmoothingConfig) 
 
     def stage(name: str, smooth):
         try:
-            return smooth(cfg)
-        except OutOfSupport as exc:  # clamp it, so the later stages still run
+            return smooth()
+        except OutOfSupport as exc:  # its clamped values feed the later stages
             failures.append((name, exc))
-            return smooth(replace(cfg, oob_policy=OobPolicy.CLAMP_TO_NEAREST))
+            return exc.values, exc.indices.size
 
-    st, c_st = stage("surface transport",
-                     lambda c: replace(surface, cfg=c).evaluate_many(s_all, w_all))
+    st, c_st = stage("surface transport", lambda: surface.evaluate_many(s_all, w_all))
     s1t, s0t = st[:n1], st[n1:]
-    m1, c_m1 = stage("m1", lambda c: nw_curve_many(tre.w, s1t, bw.h1, cfg.kernel, w_all, c))
-    m0, c_m0 = stage("m0", lambda c: nw_curve_many(ctl.w, s0t, bw.h0, cfg.kernel, w_all, c))
+    m1, c_m1 = stage("m1", lambda: nw_curve_many(tre.w, s1t, bw.h1, cfg.kernel, w_all, cfg))
+    m0, c_m0 = stage("m0", lambda: nw_curve_many(ctl.w, s0t, bw.h0, cfg.kernel, w_all, cfg))
     yt, c_p = stage("covariate-ignoring curve",
-                    lambda c: nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, s_all, c))
+                    lambda: nw_curve_many(pc.s, pc.y, bw.h4, cfg.kernel, s_all, cfg))
     if failures:
         raise OutOfSupport("; ".join(f"{name}: {exc}" for name, exc in failures),
                            indices=failures[0][1].indices)

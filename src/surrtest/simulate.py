@@ -286,7 +286,7 @@ class SimulationSummary:
     se_ratio_pooled_simple: float  # mean reported SE, pooled over simple
     mean_h0: float
     mean_h1: float
-    h2: float
+    h2: float  # h2-h4: the fixed prior's, or replication means when it is redrawn
     h3: float
     h4: float
     clamped_evals: int
@@ -381,9 +381,13 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
             effect_size=float(np.mean([t.z for t in tests])),
             power=float(np.mean([t.reject for t in tests])))
 
-    h0s = np.array([bw.h0 for _, bw in ok])
-    h1s = np.array([bw.h1 for _, bw in ok])
-    bw_any = ok[0][1]
+    def mean_h(name: str) -> float:
+        return float(np.array([getattr(bw, name) for _, bw in ok]).mean())
+
+    # a fixed prior gives every replication the same h2-h4, which a mean can
+    # miss in the last bit; a redrawn prior gives each replication its own
+    prior_h = {name: getattr(ok[0][1], name) if cfg.fix_prior else mean_h(name)
+               for name in ("h2", "h3", "h4")}
     clamps = sum(suite[Method.H_POOLED].n_clamped + suite[Method.P].n_clamped
                  for suite, _ in ok)
 
@@ -397,6 +401,5 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
         truth_delta=truth_delta, truth_delta_h=truth_delta_h,
         truth_tilde_delta_h=tilde, methods=methods,
         se_ratio_pooled_simple=ratio,
-        mean_h0=float(h0s.mean()), mean_h1=float(h1s.mean()),
-        h2=bw_any.h2, h3=bw_any.h3, h4=bw_any.h4,
+        mean_h0=mean_h("h0"), mean_h1=mean_h("h1"), **prior_h,
         clamped_evals=clamps)

@@ -225,7 +225,7 @@ def _nw_product(data, ys, queries, kernel: KernelKind,
     queries holds at most _BLOCK_DOUBLES kernel weights, or past n_data =
     _BLOCK_DOUBLES / d one query's d x n_data.  Either policy evaluates a
     low-mass query at its nearest data point; under ERROR, OutOfSupport then
-    names every offending query.
+    names every offending query and carries the clamped values.
     """
     out = np.empty_like(queries[0])
     low = np.zeros(out.size, dtype=bool)  # queries with kernel mass below the floor
@@ -243,7 +243,7 @@ def _nw_product(data, ys, queries, kernel: KernelKind,
     if bad.size and cfg.oob_policy is OobPolicy.ERROR:
         raise OutOfSupport(
             f"{bad.size} query point(s) have kernel mass below "
-            f"{_DENOM_FLOOR}; nearest-point clamping is disabled", indices=bad)
+            f"{_DENOM_FLOOR}; nearest-point clamping is disabled", indices=bad, values=out)
     return out, int(bad.size)
 
 

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from surrtest import estimators
 from surrtest.cli import main, parse_args
 from surrtest.data import StudyArm, TwoArmStudy, load_study_csv, validate_paired, write_study_csv
 from surrtest.errors import ConfigError, OutOfSupport
@@ -244,10 +245,11 @@ def test_failed_replication_names_replication_and_stage(tmp_path, capsys):
     assert (indices < 300).sum() == 31 and (indices >= 300).sum() == 19
 
 
-def test_oob_error_names_every_failing_stage(tmp_path, capsys):
+def test_oob_error_names_every_failing_stage(tmp_path, capsys, monkeypatch):
     # on this setting-1 pair, surface transport fails for 20 treated and 16
     # control queries and the covariate-ignoring curve for 6; m1 and m0 pass.
-    # The first failure must not hide the later one.
+    # The first failure must not hide the later one, and no stage is smoothed
+    # twice to find it.
     prior = generate_setting(1, "prior", 1000, 800, 11)
     current = generate_setting(1, "current", 300, 300, 11)
     write_study_csv(prior, tmp_path / "prior.csv")
@@ -262,8 +264,16 @@ def test_oob_error_names_every_failing_stage(tmp_path, capsys):
                    "kernel mass below 1e-10; nearest-point clamping is disabled\n")
     paired = validate_paired(prior, current)
     bw = default_bandwidths(paired)
+    calls = []
+    for name in ("nw_surface_many", "nw_curve_many"):
+        def counted(*args, smooth=getattr(estimators, name)):
+            calls.append(smooth)
+            return smooth(*args)
+        monkeypatch.setattr(estimators, name, counted)
     with pytest.raises(OutOfSupport) as exc_info:
         estimate_suite(paired, bw, SmoothingConfig(oob_policy=OobPolicy.ERROR))
+    assert len(calls) == 4  # surface transport, m1, m0, covariate-ignoring curve
+    assert exc_info.value.values is None  # the joined error keeps no stage values
     # the indices are the first failing stage's, treated queries first
     indices = exc_info.value.indices
     assert (indices < 300).sum() == 20 and (indices >= 300).sum() == 16

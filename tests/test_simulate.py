@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from surrtest import simulate
+from surrtest.data import validate_paired
 from surrtest.errors import ConfigError, OutOfSupport, UnknownSetting, ZeroSE
 from surrtest.estimators import Method, Mu0Surface
 from surrtest.simulate import (
@@ -18,6 +19,7 @@ from surrtest.smoothing import (
     KernelKind,
     OobPolicy,
     SmoothingConfig,
+    default_bandwidths,
     rule_of_thumb_bandwidth,
 )
 
@@ -189,6 +191,26 @@ def test_refreshed_prior_mode():
     assert s.methods["h_pooled"].bias_tilde is None
     assert s.methods["h_pooled"].coverage_tilde is None
     assert s.methods["h_pooled"].bias is not None
+
+
+def test_reported_prior_bandwidths_are_the_ones_used():
+    # a redrawn prior gives each replication its own h2-h4, so the report
+    # gives their mean; a fixed prior gives them all its own, bit for bit
+    def bandwidths(rep, prior_rep):
+        prior = generate_setting(5, "prior", 1000, 800, 1, rep=prior_rep)
+        current = generate_setting(5, "current", 300, 300, 1, rep=rep)
+        return default_bandwidths(validate_paired(prior, current))
+
+    for fix_prior in (False, True):
+        s = run_simulation(SimConfig(setting=5, fix_prior=fix_prior, **FAST))
+        used = [bandwidths(rep, 0 if fix_prior else rep) for rep in range(FAST["reps"])]
+        for name in ("h2", "h3", "h4"):
+            values = [getattr(bw, name) for bw in used]
+            expected = values[0] if fix_prior else float(np.mean(values))
+            assert getattr(s, name) == expected, (fix_prior, name)
+            assert fix_prior or getattr(s, name) != values[0], name
+        assert s.mean_h0 == float(np.mean([bw.h0 for bw in used]))
+        assert s.mean_h1 == float(np.mean([bw.h1 for bw in used]))
 
 
 def test_zero_se_in_a_replication_raises(monkeypatch):

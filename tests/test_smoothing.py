@@ -422,6 +422,35 @@ def test_error_policy_raises_with_indices():
     assert sorted(int(i) for i in idx) == [1, 2]
 
 
+@pytest.mark.parametrize("dim", [1, 2], ids=["curve", "surface"])
+@pytest.mark.parametrize("kind", [EPA, GAU], ids=["epanechnikov", "gaussian"])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_error_policy_carries_the_clamped_values(dim, kind, seed):
+    # the smoother clamps every low-mass query before it raises, so the error
+    # holds the clamp policy's values and count, and no caller smooths again
+    rng = np.random.default_rng(seed)
+    n_data = int(rng.integers(5, 200))
+    data = [rng.uniform(0, 10, n_data) for _ in range(dim)]
+    ys = rng.normal(0, 1, n_data)
+    queries = [rng.uniform(0, 10, 300) for _ in range(dim)]
+    far = rng.random(300) < 0.05
+    far[0] = True  # at least one query without kernel mass
+    queries[0][far] += rng.choice([-100.0, 100.0], far.sum())
+
+    def smooth(policy):
+        cfg = SmoothingConfig(kernel=kind, oob_policy=policy)
+        if dim == 1:
+            return nw_curve_many(data[0], ys, 0.5, kind, queries[0], cfg)
+        return nw_surface_many(*data, ys, 0.5, 0.5, kind, *queries, cfg)
+
+    clamped, n_clamped = smooth(OobPolicy.CLAMP_TO_NEAREST)
+    with pytest.raises(OutOfSupport) as exc_info:
+        smooth(OobPolicy.ERROR)
+    assert np.array_equal(exc_info.value.values, clamped)
+    assert exc_info.value.indices.size == n_clamped
+
+
 @pytest.mark.parametrize("offenders", [[10, 5000, 5001], [5000, 5001]])
 def test_error_policy_indices_span_query_blocks(offenders):
     # 6000 queries take two blocks against 512 data points; the indices and
