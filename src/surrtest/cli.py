@@ -34,6 +34,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -64,13 +65,13 @@ from .smoothing import (
 # the options that set a result, with their argparse settings; each
 # subcommand takes those it reads, and its report echoes the ones it takes
 _PROVENANCE = {
-    "kernel": dict(choices=["epanechnikov", "gaussian"], default="epanechnikov"),
+    "kernel": dict(choices=[k.value for k in KernelKind], default="epanechnikov"),
     "alpha": dict(type=float, default=0.05),
     "seed": dict(type=int, default=1),
     # clamp by default: heavy-tailed markers routinely put a few treated
     # points past the prior control support, and an analysis command that
     # aborts on them is useless; the clamp count lands in the diagnostics
-    "oob": dict(choices=["error", "clamp"], default="clamp",
+    "oob": dict(choices=[p.value for p in OobPolicy], default="clamp",
                 help="out-of-support policy (default: clamp, with counts reported)"),
 }
 
@@ -186,7 +187,7 @@ def cmd_test(args) -> int:
     report = _common_report(args, "test")
     report.update({
         "inputs": inputs,
-        "bandwidths": {k: getattr(bw, k) for k in ("h0", "h1", "h2", "h3", "h4")},
+        "bandwidths": vars(bw),
         "diagnostics": {
             "support_overlap": paired.support_overlap,
             "warnings": list(paired.warnings),
@@ -292,22 +293,18 @@ def cmd_oracle_lognormal(args) -> int:
     triple = lognormal_counterexample_analytic(args.delta0)
     linearized = lognormal_delta_p_linearized(args.delta0)
     mc = lognormal_counterexample_mc(args.delta0, args.mc, master_seed=args.seed)
-    agree = {
-        "delta": abs(mc.delta - triple.delta) <= 3 * mc.delta_se,
-        "delta_h": abs(mc.delta_h - triple.delta_h) <= 3 * mc.delta_h_se,
-        "delta_p_exponential": abs(mc.delta_p - triple.delta_p) <= 3 * mc.delta_p_se,
-        "delta_p_linearized": abs(mc.delta_p - linearized) <= 3 * mc.delta_p_se,
+    checks = {  # each closed form against its Monte-Carlo estimate
+        "delta": ("delta", triple.delta, mc.delta, mc.delta_se),
+        "delta_h": ("delta_h", triple.delta_h, mc.delta_h, mc.delta_h_se),
+        "delta_p_exponential":
+            ("delta_p (exponential)", triple.delta_p, mc.delta_p, mc.delta_p_se),
+        "delta_p_linearized": ("delta_p (linearized)", linearized, mc.delta_p, mc.delta_p_se),
     }
+    agree = {key: abs(est - value) <= 3 * se for key, (_, value, est, se) in checks.items()}
     print(f"lognormal benchmark at delta0={args.delta0} (mc n={args.mc}):")
     print(f"  {'quantity':<22} {'analytic':>12} {'mc':>12} {'mc se':>10} agreement")
-    print(f"  {'delta':<22} {triple.delta:>12.5f} {mc.delta:>12.5f} "
-          f"{mc.delta_se:>10.5f} {agree['delta']}")
-    print(f"  {'delta_h':<22} {triple.delta_h:>12.5f} {mc.delta_h:>12.5f} "
-          f"{mc.delta_h_se:>10.5f} {agree['delta_h']}")
-    print(f"  {'delta_p (exponential)':<22} {triple.delta_p:>12.5f} {mc.delta_p:>12.5f} "
-          f"{mc.delta_p_se:>10.5f} {agree['delta_p_exponential']}")
-    print(f"  {'delta_p (linearized)':<22} {linearized:>12.5f} {mc.delta_p:>12.5f} "
-          f"{mc.delta_p_se:>10.5f} {agree['delta_p_linearized']}")
+    for key, (label, value, est, se) in checks.items():
+        print(f"  {label:<22} {value:>12.5f} {est:>12.5f} {se:>10.5f} {agree[key]}")
     verdict = ("exponential form confirmed"
                if agree["delta_p_exponential"] and not agree["delta_p_linearized"]
                else "adjudication inconclusive")
@@ -424,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("current_csv")
     p_test.add_argument("--aug", action="store_true",
                         help="also report the augmented estimator")
-    p_test.add_argument("--bandwidths", type=float, nargs=5,
-                        metavar=("H0", "H1", "H2", "H3", "H4"),
+    p_test.add_argument("--bandwidths", type=float, nargs=len(fields(Bandwidths)),
+                        metavar=tuple(f.name.upper() for f in fields(Bandwidths)),
                         help="override the data-driven bandwidths")
     _add_common(p_test, "kernel", "alpha", "oob")
     p_test.set_defaults(func=cmd_test)

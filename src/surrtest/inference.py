@@ -14,19 +14,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, ZeroSE
 
-__all__ = ["TestOutcome", "wald_test", "normal_cdf", "normal_quantile"]
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return float(ndtr(x))
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile (inverse CDF); p must lie in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must be in (0, 1), got {p!r}")
-    return float(ndtri(p))
+__all__ = ["TestOutcome", "check_alpha", "wald_test"]
 
 
 @dataclass(frozen=True)
@@ -67,8 +55,8 @@ def wald_test(e, alpha: float = 0.05) -> TestOutcome:
     if not (math.isfinite(se) and se > 0.0):
         raise ZeroSE(f"standard error must be positive and finite, got {se!r}")
     z = est / se
-    p = 2.0 * normal_cdf(-abs(z))
-    q = normal_quantile(1.0 - alpha / 2.0)
+    p = 2.0 * float(ndtr(-abs(z)))
+    q = float(ndtri(1.0 - alpha / 2.0))
     tag = getattr(e, "method", "")
     if isinstance(tag, enum.Enum):  # Method enums flatten to their string value
         tag = tag.value

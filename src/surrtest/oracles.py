@@ -100,6 +100,9 @@ def discrete_example(mix: DiscreteMix) -> OracleTriple:
 def _check_delta0(delta0: float) -> None:
     if not (math.isfinite(delta0) and delta0 > 0.0):
         raise NonPositiveDelta0(f"delta0 must be positive, got {delta0!r}")
+    top = (math.log(np.finfo(float).max) - 2.5) / 1.5  # where exp(2.5 + 1.5*delta0) overflows
+    if delta0 > top:
+        raise ConfigError(f"delta0 must be at most {top:.4f} (delta_p overflows), got {delta0!r}")
 
 
 def lognormal_counterexample_analytic(delta0: float) -> OracleTriple:
@@ -143,7 +146,8 @@ def lognormal_counterexample_mc(delta0: float, n: int,
     not kernel fits, so disagreement with the closed forms can only come from
     Monte-Carlo noise.  Each contrast gets its own independent block of draws
     (streams derived as in the simulation harness), so the delta and delta_h
-    estimates agree statistically rather than by construction.
+    estimates agree statistically rather than by construction.  Draws that
+    overflow a double (from delta0 near 230) raise ConfigError.
     """
     _check_delta0(delta0)
     if n < 1000:
@@ -162,15 +166,19 @@ def lognormal_counterexample_mc(delta0: float, n: int,
     def mean_se(diff: np.ndarray):
         return float(diff.mean()), float(np.std(diff, ddof=1) / math.sqrt(n))
 
-    w, s0, s1 = draws(0)
-    d, d_se = mean_se(s1 * w - s0 * w)  # Y(g) = S(g)*W
+    try:  # products and squares of the draws overflow long before the closed forms
+        with np.errstate(over="raise", invalid="raise"):
+            w, s0, s1 = draws(0)
+            d, d_se = mean_se(s1 * w - s0 * w)  # Y(g) = S(g)*W
 
-    w, s0, s1 = draws(1)
-    dh, dh_se = mean_se(s1 * w - s0 * w)  # exact 2-D transform s*w
+            w, s0, s1 = draws(1)
+            dh, dh_se = mean_se(s1 * w - s0 * w)  # exact 2-D transform s*w
 
-    w, s0, s1 = draws(2)
-    c = math.exp(0.25)
-    dp, dp_se = mean_se(c * s1**1.5 - c * s0**1.5)  # exact 1-D transform
+            w, s0, s1 = draws(2)
+            c = math.exp(0.25)
+            dp, dp_se = mean_se(c * s1**1.5 - c * s0**1.5)  # exact 1-D transform
+    except FloatingPointError:
+        raise ConfigError(f"delta0 = {delta0!r} overflows the Monte Carlo") from None
 
     return MCTriple(delta=d, delta_se=d_se, delta_p=dp, delta_p_se=dp_se,
                     delta_h=dh, delta_h_se=dh_se, n=n)

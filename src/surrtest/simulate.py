@@ -240,12 +240,10 @@ class SimConfig:
     def __post_init__(self):
         _law(self.setting)
         for name in ("n1p", "n0p", "n1", "n0", "reps", "truth_mc_draws", "threads"):
-            if getattr(self, name) < 1:
+            size = getattr(self, name)
+            if not hasattr(size, "__index__") or size < 1:  # as operator.index: no floats
                 raise ConfigError(f"{name} must be a positive integer")
         check_alpha(self.alpha)
-
-    def smoothing(self) -> SmoothingConfig:
-        return SmoothingConfig(kernel=self.kernel, oob_policy=self.oob_policy)
 
 
 @dataclass(frozen=True)
@@ -329,7 +327,7 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
     own streams and its record keeps its index in a pool of cfg.threads
     threads; the result is identical for any thread count.
     """
-    scfg = cfg.smoothing()
+    scfg = SmoothingConfig(kernel=cfg.kernel, oob_policy=cfg.oob_policy)
     truth_delta, truth_delta_h = true_deltas(cfg.setting)
 
     prior = None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -78,8 +78,8 @@ class Bandwidths:
     h4: float
 
     def __post_init__(self):
-        for name in ("h0", "h1", "h2", "h3", "h4"):
-            _check_bandwidth(getattr(self, name), name)
+        for f in fields(self):
+            _check_bandwidth(getattr(self, f.name), f.name)
 
 
 @dataclass(frozen=True)

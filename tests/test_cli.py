@@ -336,6 +336,17 @@ def test_oracle_lognormal_adjudicates(tmp_path, capsys):
     assert len(rows) == 7
 
 
+@pytest.mark.parametrize("delta0", ["300", "500"])
+def test_oracle_lognormal_oversized_delta0(delta0, tmp_path, capsys):
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(["oracle", "lognormal", "--delta0", delta0, "--mc", "1000",
+                                 "--seed", "0", "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error (ConfigError): delta0") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- bandwidths
 
 def test_bandwidths_command(csv_pair, tmp_path, capsys):

@@ -106,6 +106,21 @@ def test_lognormal_validation():
             lognormal_counterexample_mc(bad, 10_000)
 
 
+def test_oversized_delta0_is_a_named_error():
+    # the closed forms overflow a double past delta0 = 471.52; the Monte
+    # Carlo's squared contrasts do so near 231.4 at seed 0 and 1000 draws
+    lognormal_counterexample_analytic(471.5)
+    lognormal_counterexample_mc(231.4, 1000, master_seed=0)
+    for bad in (471.53, 500.0, 1e300):
+        for oracle in (lognormal_counterexample_analytic, lognormal_delta_p_linearized,
+                       lambda d: lognormal_counterexample_mc(d, 1000)):
+            with pytest.raises(ConfigError, match="delta0"):
+                oracle(bad)
+    for bad in (231.5, 300.0, 471.5):
+        with pytest.raises(ConfigError, match="delta0"):
+            lognormal_counterexample_mc(bad, 1000, master_seed=0)
+
+
 def test_mc_requires_enough_draws():
     with pytest.raises(ConfigError):
         lognormal_counterexample_mc(0.5, 999)

@@ -149,6 +149,11 @@ def test_config_validation():
         SimConfig(setting=1, threads=0)
     with pytest.raises(ConfigError, match="truth_mc_draws"):
         SimConfig(setting=1, truth_mc_draws=0)
+    with pytest.raises(ConfigError, match="n1 must be a positive integer"):
+        SimConfig(setting=1, n1=30.5)
+    with pytest.raises(ConfigError, match="reps must be a positive integer"):
+        SimConfig(setting=1, reps=2.0)
+    assert SimConfig(setting=1, n1=np.int64(30)).n1 == 30  # numpy integers pass
 
 
 def test_summary_shape():
