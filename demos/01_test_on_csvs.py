@@ -40,7 +40,7 @@ for msg in paired.warnings:
 # clamping handles the few treated markers past the prior control support
 cfg = SmoothingConfig(kernel=KernelKind.EPANECHNIKOV,
                       oob_policy=OobPolicy.CLAMP_TO_NEAREST)
-bw = default_bandwidths(paired, cfg.kernel)
+bw = default_bandwidths(paired)  # the recipe is the same for both kernels
 print(f"bandwidths: h0={bw.h0:.3f} h1={bw.h1:.3f} h2={bw.h2:.3f} "
       f"h3={bw.h3:.3f} h4={bw.h4:.3f}")
 

@@ -20,8 +20,8 @@ from surrtest.smoothing import (
 paired = validate_paired(generate_setting(1, "prior", 1000, 800, master_seed=9),
                          generate_setting(1, "current", 300, 300, master_seed=9))
 
-bw = default_bandwidths(paired, KernelKind.EPANECHNIKOV)
-print("resolved bandwidths (1.06 * min(sd, IQR/1.34) * n^exponent):")
+bw = default_bandwidths(paired)
+print("resolved bandwidths (1.06 * min(sd, IQR/1.34) * n^exponent, for both kernels):")
 for name, role in (("h0", "current control w, second-stage trend"),
                    ("h1", "current treated w, second-stage trend"),
                    ("h2", "prior control s, outcome surface (2x, undersmoothed)"),

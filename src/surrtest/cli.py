@@ -5,16 +5,8 @@ pair), ``simulate`` (replication campaigns over the built-in settings),
 ``oracle discrete`` and ``oracle lognormal`` (closed-form benchmark values,
 the second with Monte-Carlo adjudication), and ``bandwidths`` (the resolved
 bandwidths and the statistics feeding them).  Each prints a table on stdout
-and writes ``report.json`` plus ``summary.csv`` into ``--out``.  Besides
-``--out`` and ``--config``, each takes only options that act:
-
-- ``test``: ``--kernel``, ``--alpha``, ``--oob``, ``--aug``, ``--bandwidths``;
-- ``simulate``: ``--setting``, ``--reps``, ``--n1p``, ``--n0p``, ``--n1``,
-  ``--n0``, ``--fix-prior``/``--no-fix-prior``, ``--truth-draws`` (fixed
-  prior only), ``--threads``, ``--kernel``, ``--alpha``, ``--seed``, ``--oob``;
-- ``oracle discrete``: ``--p-female``;
-- ``oracle lognormal``: ``--delta0``, ``--mc``, ``--seed``;
-- ``bandwidths``: none, as its recipe is the same for both kernels.
+and writes ``report.json`` plus ``summary.csv`` into ``--out``; each takes
+only options that act, and its ``--help`` lists them.
 
 Reports echo the kernel, alpha, seed and oob options a command takes, the
 bandwidths and the input-file hashes, so a result can be traced back to its
@@ -97,9 +89,14 @@ def _fmt(x, nd=4) -> str:
     return "" if x is None else f"{x:.{nd}f}"
 
 
-def _write_outputs(out_dir, report: dict, rows: list) -> None:
-    """Write report.json and summary.csv; the CSV columns are the first row's keys."""
-    out = Path(out_dir)
+def _write_outputs(args, command: str, entries: dict, rows: list) -> None:
+    """Write report.json (tool, version, `command` and the _PROVENANCE options
+    `args` takes, then `entries`) and summary.csv (`rows`)."""
+    # no argv and no thread count in here: reports must be byte-identical
+    # for a given seed and config however the work was scheduled
+    report = {"tool": "surrtest", "version": __version__, "command": command,
+              **{k: v for k, v in vars(args).items() if k in _PROVENANCE}, **entries}
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -110,14 +107,6 @@ def _write_outputs(out_dir, report: dict, rows: list) -> None:
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {out / 'report.json'} and {out / 'summary.csv'}")
-
-
-def _common_report(args, command: str) -> dict:
-    # no argv and no thread count in here: reports must be byte-identical
-    # for a given seed and config however the work was scheduled
-    report = {"tool": "surrtest", "version": __version__, "command": command}
-    report.update((k, v) for k, v in vars(args).items() if k in _PROVENANCE)
-    return report
 
 
 def _load_pair(args):
@@ -136,10 +125,7 @@ def cmd_test(args) -> int:
     scfg = SmoothingConfig(kernel=KernelKind(args.kernel), oob_policy=OobPolicy(args.oob))
     paired, inputs = _load_pair(args)
     prior, current = paired.prior, paired.current
-    if args.bandwidths is not None:
-        bw = Bandwidths(*args.bandwidths)
-    else:
-        bw = default_bandwidths(paired, scfg.kernel)
+    bw = default_bandwidths(paired) if args.bandwidths is None else Bandwidths(*args.bandwidths)
 
     t0 = time.perf_counter()
     suite = estimate_suite(paired, bw, scfg)
@@ -166,11 +152,7 @@ def cmd_test(args) -> int:
         ci = f"[{t.ci_lower:.4f}, {t.ci_upper:.4f}]"
         print(f"{_METHOD_LABEL[method]:<42} {t.estimate:>10.4f} {t.se:>8.4f} "
               f"{t.z:>8.3f} {t.p_value:>10.3e} {ci:>23} {t.reject}")
-        rows.append({"method": t.method, "estimate": t.estimate, "se": t.se,
-                     "z": t.z, "p_value": t.p_value, "alpha": t.alpha,
-                     "reject": t.reject, "ci_lower": t.ci_lower,
-                     "ci_upper": t.ci_upper, "n1": est.n1, "n0": est.n0,
-                     "n_clamped": est.n_clamped})
+        rows.append({**vars(t), "n1": est.n1, "n0": est.n0, "n_clamped": est.n_clamped})
 
     ratio = None
     if Method.GOLD not in suite:
@@ -184,8 +166,7 @@ def cmd_test(args) -> int:
             print("transported/outcome effect ratio: undefined (zero outcome contrast)")
     print(f"elapsed: {elapsed:.3f}s")
 
-    report = _common_report(args, "test")
-    report.update({
+    _write_outputs(args, "test", {
         "inputs": inputs,
         "bandwidths": vars(bw),
         "diagnostics": {
@@ -196,8 +177,7 @@ def cmd_test(args) -> int:
         "results": rows,
         "pte_ratio": ratio,
         "gold_available": Method.GOLD in suite,
-    })
-    _write_outputs(args.out, report, rows)
+    }, rows)
     return 0
 
 
@@ -245,29 +225,21 @@ def cmd_simulate(args) -> int:
           f"clamped evaluations: {summary.clamped_evals}")
     print(f"elapsed: {elapsed:.1f}s")
 
-    report = _common_report(args, "simulate")
-    report.update({
-        "config": {
-            "setting": cfg.setting, "n1p": cfg.n1p, "n0p": cfg.n0p,
-            "n1": cfg.n1, "n0": cfg.n0, "reps": cfg.reps,
-            "master_seed": cfg.master_seed, "alpha": cfg.alpha,
-            "fix_prior": cfg.fix_prior, "truth_mc_draws": cfg.truth_mc_draws,
-        },
+    _write_outputs(args, "simulate", {
+        # kernel and oob_policy are echoed as provenance; threads never enters a report
+        "config": {f.name: getattr(cfg, f.name) for f in fields(SimConfig)
+                   if f.name not in ("kernel", "oob_policy", "threads")},
         "truth": {
             "delta": summary.truth_delta,
             "delta_h": summary.truth_delta_h,
             "tilde_delta_h": summary.truth_tilde_delta_h,
         },
-        "bandwidths": {
-            "mean_h0": summary.mean_h0, "mean_h1": summary.mean_h1,
-            "h2": summary.h2, "h3": summary.h3, "h4": summary.h4,
-        },
+        "bandwidths": {k: getattr(summary, k) for k in ("mean_h0", "mean_h1", "h2", "h3", "h4")},
         "methods": {m.value: vars(summary.methods[m.value]) for m in Method},
         "se_ratio_pooled_simple": summary.se_ratio_pooled_simple,
         "n_failed": summary.n_failed,
         "clamped_evaluations": summary.clamped_evals,
-    })
-    _write_outputs(args.out, report, simulation_rows(summary))
+    }, simulation_rows(summary))
     return 0
 
 
@@ -280,12 +252,10 @@ def cmd_oracle_discrete(args) -> int:
     print(f"note: {DISCRETE_DELTA_P_NOTE}")
     rows = [{"quantity": name, "value": val, "se": None, "source": "analytic"}
             for name, val in vars(triple).items()]
-    report = _common_report(args, "oracle")
-    report.update({
+    _write_outputs(args, "oracle", {
         "which": "discrete", "p_female": args.p_female,
         "analytic": vars(triple), "note": DISCRETE_DELTA_P_NOTE,
-    })
-    _write_outputs(args.out, report, rows)
+    }, rows)
     return 0
 
 
@@ -318,13 +288,11 @@ def cmd_oracle_lognormal(args) -> int:
         {"quantity": "delta_p", "value": mc.delta_p, "se": mc.delta_p_se, "source": "mc"},
         {"quantity": "delta_h", "value": mc.delta_h, "se": mc.delta_h_se, "source": "mc"},
     ]
-    report = _common_report(args, "oracle")
-    report.update({
+    _write_outputs(args, "oracle", {
         "which": "lognormal", "delta0": args.delta0, "mc_draws": args.mc,
         "analytic": vars(triple), "delta_p_linearized": linearized,
         "mc": vars(mc), "agreement": agree, "verdict": verdict,
-    })
-    _write_outputs(args.out, report, rows)
+    }, rows)
     return 0
 
 
@@ -345,14 +313,12 @@ def cmd_bandwidths(args) -> int:
                      "sd": sd, "iqr": iqr, "spread": spread, "n": arm.n,
                      "exponent": rule.exponent, "multiplier": rule.multiplier})
 
-    report = _common_report(args, "bandwidths")
-    report.update({
+    _write_outputs(args, "bandwidths", {
         "inputs": inputs,
         "bandwidths": {r["name"]: r["value"] for r in rows},
         "statistics": rows,
         "support_overlap": paired.support_overlap,
-    })
-    _write_outputs(args.out, report, rows)
+    }, rows)
     return 0
 
 
@@ -430,18 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", allow_abbrev=False,
                            help="run a replication campaign")
     p_sim.add_argument("--setting", type=int, default=None, choices=range(1, 9))
-    p_sim.add_argument("--reps", type=int, default=500)
-    p_sim.add_argument("--n1p", type=int, default=1000)
-    p_sim.add_argument("--n0p", type=int, default=800)
-    p_sim.add_argument("--n1", type=int, default=300)
-    p_sim.add_argument("--n0", type=int, default=300)
-    p_sim.add_argument("--fix-prior", dest="fix_prior", action="store_true", default=True)
+    p_sim.add_argument("--reps", type=int, default=SimConfig.reps)
+    p_sim.add_argument("--n1p", type=int, default=SimConfig.n1p)
+    p_sim.add_argument("--n0p", type=int, default=SimConfig.n0p)
+    p_sim.add_argument("--n1", type=int, default=SimConfig.n1)
+    p_sim.add_argument("--n0", type=int, default=SimConfig.n0)
+    p_sim.add_argument("--fix-prior", action="store_true", default=SimConfig.fix_prior)
     p_sim.add_argument("--no-fix-prior", dest="fix_prior", action="store_false",
                        help="redraw the prior study every replication")
-    p_sim.add_argument("--truth-draws", type=int, default=10**6,
+    p_sim.add_argument("--truth-draws", type=int, default=SimConfig.truth_mc_draws,
                        help="Monte-Carlo draws for the fixed-surface target "
                             "(acts only with --fix-prior)")
-    p_sim.add_argument("--threads", type=int, default=1,
+    p_sim.add_argument("--threads", type=int, default=SimConfig.threads,
                        help="worker threads for the replications")
     _add_common(p_sim, "kernel", "alpha", "seed", "oob")
     p_sim.set_defaults(func=cmd_simulate)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class Mu0Surface:
     """Conditional outcome mean given (surrogate, covariate), fit on prior control data.
 
     Built exclusively from the prior study's control arm; current-study
-    outcomes never enter.
+    outcomes never enter.  Its kernel is cfg.kernel, set by fit_mu0_surface.
     """
 
     s: np.ndarray
@@ -84,13 +84,12 @@ class Mu0Surface:
     y: np.ndarray
     h_s: float
     h_w: float
-    kernel: KernelKind
     cfg: SmoothingConfig
 
     def evaluate_many(self, s0s, w0s):
         """Vector evaluation; returns (values, clamped-query count)."""
         return nw_surface_many(self.s, self.w, self.y, self.h_s, self.h_w,
-                               self.kernel, s0s, w0s, self.cfg)
+                               self.cfg.kernel, s0s, w0s, self.cfg)
 
 
 def fit_mu0_surface(paired: PairedStudies, bw: Bandwidths,
@@ -98,8 +97,8 @@ def fit_mu0_surface(paired: PairedStudies, bw: Bandwidths,
     arm = paired.prior.control
     if not arm.has_outcome:
         raise MissingPriorOutcome("prior control arm has no outcomes; cannot fit surface")
-    return Mu0Surface(s=arm.s, w=arm.w, y=arm.y,
-                      h_s=bw.h2, h_w=bw.h3, kernel=kernel, cfg=cfg)
+    return Mu0Surface(s=arm.s, w=arm.w, y=arm.y, h_s=bw.h2, h_w=bw.h3,
+                      cfg=replace(cfg, kernel=kernel))
 
 
 def _arm_contrast(a: np.ndarray, b: np.ndarray, method: Method,

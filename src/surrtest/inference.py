@@ -26,6 +26,7 @@ class TestOutcome:
     1 - alpha/2; the CI is estimate +/- that quantile times se.
     """
 
+    method: str
     estimate: float
     se: float
     z: float
@@ -34,7 +35,6 @@ class TestOutcome:
     reject: bool
     ci_lower: float
     ci_upper: float
-    method: str = ""
 
 
 def check_alpha(alpha: float) -> None:
@@ -61,6 +61,7 @@ def wald_test(e, alpha: float = 0.05) -> TestOutcome:
     if isinstance(tag, enum.Enum):  # Method enums flatten to their string value
         tag = tag.value
     return TestOutcome(
+        method=tag,
         estimate=est,
         se=se,
         z=z,
@@ -69,5 +70,4 @@ def wald_test(e, alpha: float = 0.05) -> TestOutcome:
         reject=bool(abs(z) > q),
         ci_lower=est - q * se,
         ci_upper=est + q * se,
-        method=tag,
     )

@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError, NonPositiveDelta0
+from .simulate import normal, stream
 
 __all__ = [
     "DiscreteMix",
@@ -145,7 +145,7 @@ def lognormal_counterexample_mc(delta0: float, n: int,
     Uses the exact conditional-mean transforms (s*w and exp(1/4)*s^(3/2)),
     not kernel fits, so disagreement with the closed forms can only come from
     Monte-Carlo noise.  Each contrast gets its own independent block of draws
-    (streams derived as in the simulation harness), so the delta and delta_h
+    (the simulation harness's ``stream`` and ``normal``), so the delta and delta_h
     estimates agree statistically rather than by construction.  Draws that
     overflow a double (from delta0 near 230) raise ConfigError.
     """
@@ -154,12 +154,9 @@ def lognormal_counterexample_mc(delta0: float, n: int,
         raise ConfigError(f"need at least 1000 draws for stable MC SEs, got {n}")
 
     def draws(tag: int):
-        seq = np.random.SeedSequence(master_seed, spawn_key=(3, 0, tag))
-        rng = np.random.Generator(np.random.Philox(seq))
-        e_w = ndtri(rng.random(n) + 2.0**-54)
-        e_s = ndtri(rng.random(n) + 2.0**-54)
-        w = np.exp(e_w)
-        s0 = w * np.exp(e_s)
+        rng = stream(master_seed, 3, 0, tag)
+        w = np.exp(normal(rng, 1.0, n))
+        s0 = w * np.exp(normal(rng, 1.0, n))
         s1 = s0 * math.exp(delta0)
         return w, s0, s1
 

@@ -2,14 +2,14 @@
 
 Reproducibility contract
 ------------------------
-Every random draw comes from a counter-based Philox generator keyed by
-``SeedSequence(master_seed, spawn_key=(setting, context, replication, tag))``
-where context is 0 for the prior study, 1 for the current study, and 2 for
-truth-evaluation draws; ``tag`` enumerates the variable being drawn
-(0/1/2 = treated covariate/surrogate/outcome-noise, 3/4/5 = the same for the
-control arm).  Normal noise is drawn through the inverse normal CDF applied
-to uniforms, so a draw depends only on its stream position; gamma variates
-use numpy's standard rejection sampler on a stream no other variable shares.
+Every random draw comes from ``stream(master_seed, setting, context,
+replication, tag)``, a counter-based Philox generator, where context is 0 for
+the prior study, 1 for the current study, and 2 for truth-evaluation draws;
+``tag`` enumerates the variable being drawn (0/1/2 = treated
+covariate/surrogate/outcome-noise, 3/4/5 = the same for the control arm).
+Normal noise is ``normal``, the inverse normal CDF of uniforms, so a draw
+depends only on its stream position; gamma variates use numpy's standard
+rejection sampler on a stream no other variable shares.
 Keying by setting makes each setting's fixed baseline draw its own
 realization, mirroring how independent per-scenario runs consume a seed.
 Replications therefore never share state and any parallel execution order
@@ -34,6 +34,7 @@ mean a and *variance* b; gamma means are shape*scale):
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -56,6 +57,8 @@ __all__ = [
     "true_deltas",
     "tilde_delta_h",
     "run_simulation",
+    "stream",
+    "normal",
 ]
 
 _CTX_PRIOR = 0
@@ -111,15 +114,15 @@ _SETTINGS = {
 
 
 def _law(setting: int) -> _SettingLaw:
-    try:
-        return _SETTINGS[setting]
+    try:  # as operator.index: no floats, so 1.0 is not setting 1
+        return _SETTINGS[operator.index(setting)]
     except (KeyError, TypeError):
         raise UnknownSetting(f"setting must be an integer in 1..8, got {setting!r}") from None
 
 
-def _stream(master_seed: int, setting: int, context: int, rep: int,
-            tag: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(master_seed, spawn_key=(setting, context, rep, tag))
+def stream(master_seed: int, *key: int) -> np.random.Generator:
+    """The Philox generator of the stream `key` spawned from `master_seed`."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -127,10 +130,11 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarr
     return lo + (hi - lo) * rng.random(n)
 
 
-def _normal(rng: np.random.Generator, sd: float, n: int) -> np.ndarray:
-    # Inverse-CDF transform; the tiny offset keeps the argument strictly
-    # inside (0, 1) without biasing the grid of representable uniforms.
-    return sd * ndtri(rng.random(n) + 2.0**-54)
+def normal(rng: np.random.Generator, sd: float, n: int) -> np.ndarray:
+    """`n` draws of N(0, sd^2): the inverse normal CDF of `rng`'s next uniforms, kept
+    inside (0, 1) by the offset and by a cap, as 1 - 2^-53 + 2^-54 rounds to 1.0."""
+    u = rng.random(n) + 2.0**-54
+    return sd * ndtri(np.minimum(u, np.nextafter(1.0, 0.0), out=u))
 
 
 def _regression(law: _SettingLaw, arm: _ArmLaw, s: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -144,7 +148,7 @@ def _draw_arm(law: _SettingLaw, arm: _ArmLaw, w_range, n: int,
               rng_w, rng_s, rng_e) -> StudyArm:
     w = _uniform(rng_w, w_range[0], w_range[1], n)
     s = rng_s.gamma(arm.shape, arm.scale, n)
-    y = _regression(law, arm, s, w) + _normal(rng_e, law.noise_sd, n)
+    y = _regression(law, arm, s, w) + normal(rng_e, law.noise_sd, n)
     return StudyArm(s=s, w=w, y=y)
 
 
@@ -163,10 +167,10 @@ def generate_setting(setting: int, which: str, n1: int, n0: int,
     else:
         raise ValueError(f'which must be "prior" or "current", got {which!r}')
     treated = _draw_arm(law, law.treated, w_range, n1,
-                        *(_stream(master_seed, setting, ctx, rep, tag)
+                        *(stream(master_seed, setting, ctx, rep, tag)
                           for tag in (_TAG_W1, _TAG_S1, _TAG_E1)))
     control = _draw_arm(law, law.control, w_range, n0,
-                        *(_stream(master_seed, setting, ctx, rep, tag)
+                        *(stream(master_seed, setting, ctx, rep, tag)
                           for tag in (_TAG_W0, _TAG_S0, _TAG_E0)))
     return TwoArmStudy(treated=treated, control=control)
 
@@ -209,9 +213,8 @@ def tilde_delta_h(surface: Mu0Surface, setting: int, truth_mc_draws: int,
     """
     law = _law(setting)
     lo, hi = law.current_w
-    rng_w = _stream(master_seed, setting, _CTX_TRUTH, 0, _TAG_W1)
-    rng_s1 = _stream(master_seed, setting, _CTX_TRUTH, 0, _TAG_S1)
-    rng_s0 = _stream(master_seed, setting, _CTX_TRUTH, 0, _TAG_S0)
+    rng_w, rng_s1, rng_s0 = (stream(master_seed, setting, _CTX_TRUTH, 0, tag)
+                             for tag in (_TAG_W1, _TAG_S1, _TAG_S0))
     w = _uniform(rng_w, lo, hi, truth_mc_draws)
     s1 = rng_s1.gamma(law.treated.shape, law.treated.scale, truth_mc_draws)
     s0 = rng_s0.gamma(law.control.shape, law.control.scale, truth_mc_draws)
@@ -311,7 +314,7 @@ def _one_replication(cfg: SimConfig, prior: Optional[TwoArmStudy],
     current = generate_setting(cfg.setting, "current", cfg.n1, cfg.n0,
                                cfg.master_seed, rep=rep)
     paired = validate_paired(prior, current)
-    bw = default_bandwidths(paired, scfg.kernel)
+    bw = default_bandwidths(paired)
     try:
         return estimate_suite(paired, bw, scfg), bw
     except OutOfSupport as exc:
@@ -338,8 +341,7 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
         # The tilde target needs the replications' surface; h2/h3 read only
         # the prior control arm, so pairing the prior with itself resolves them.
         paired = validate_paired(prior, prior)
-        surface = fit_mu0_surface(paired, default_bandwidths(paired, scfg.kernel),
-                                  scfg.kernel, scfg)
+        surface = fit_mu0_surface(paired, default_bandwidths(paired), scfg.kernel, scfg)
         try:
             tilde = tilde_delta_h(surface, cfg.setting, cfg.truth_mc_draws, cfg.master_seed)
         except OutOfSupport as exc:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -76,7 +77,9 @@ def test_test_command(csv_pair, tmp_path, capsys):
         ("epanechnikov", 0.05, "clamp")
     assert "seed" not in report  # test draws nothing at random
     header, rows = csv_rows(out)
-    assert "estimate" in header and len(rows) == 3
+    assert header == ["method", "estimate", "se", "z", "p_value", "alpha", "reject",
+                      "ci_lower", "ci_upper", "n1", "n0", "n_clamped"]
+    assert len(rows) == 3
 
 
 def test_cli_matches_library_exactly(csv_pair, tmp_path, capsys):
@@ -164,6 +167,9 @@ def test_simulate_small_campaign(tmp_path, capsys):
     assert "failed replications: 0" in stdout
     report = read_report(out)
     assert report["config"]["reps"] == 4
+    # kernel and oob_policy are echoed as provenance, threads never
+    assert set(report["config"]) == \
+        {f.name for f in fields(SimConfig)} - {"kernel", "oob_policy", "threads"}
     assert set(report["methods"]) == {"gold", "p", "h_pooled", "h_simple",
                                       "h_twostage", "h_aug"}
     assert report["truth"]["delta"] == 0.0
@@ -281,6 +287,14 @@ def test_oob_error_names_every_failing_stage(tmp_path, capsys, monkeypatch):
     suite = estimate_suite(paired, bw, SmoothingConfig(oob_policy=OobPolicy.CLAMP_TO_NEAREST))
     assert suite[Method.H_SIMPLE].n_clamped == suite[Method.H_POOLED].n_clamped == 36
     assert suite[Method.P].n_clamped == 6
+
+
+def test_simulate_defaults_are_simconfig_defaults():
+    args = parse_args(["simulate"])
+    for option, field in (("reps", "reps"), ("n1p", "n1p"), ("n0p", "n0p"),
+                          ("n1", "n1"), ("n0", "n0"), ("truth_draws", "truth_mc_draws"),
+                          ("threads", "threads"), ("fix_prior", "fix_prior")):
+        assert getattr(args, option) == getattr(SimConfig, field), option
 
 
 def test_simulate_rejects_zero_reps(tmp_path, capsys):

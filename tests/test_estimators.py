@@ -19,7 +19,13 @@ from surrtest.estimators import (
     fit_mu0_surface,
     pte_ratio,
 )
-from surrtest.smoothing import Bandwidths, KernelKind, OobPolicy, SmoothingConfig
+from surrtest.smoothing import (
+    Bandwidths,
+    KernelKind,
+    OobPolicy,
+    SmoothingConfig,
+    nw_surface_many,
+)
 
 from conftest import tiny_pair
 
@@ -259,6 +265,19 @@ def test_fit_requires_prior_outcome():
     broken = PairedLike(prior=prior, current=fake.current)
     with pytest.raises(MissingPriorOutcome):
         fit_mu0_surface(broken, BW, EPA, ERR_CFG)
+
+
+def test_fit_kernel_overrides_the_config_kernel():
+    paired = tiny_pair()
+    gaussian = SmoothingConfig(KernelKind.GAUSSIAN, OobPolicy.CLAMP_TO_NEAREST)
+    surface = fit_mu0_surface(paired, BW, KernelKind.GAUSSIAN,
+                              SmoothingConfig(EPA, OobPolicy.CLAMP_TO_NEAREST))
+    assert surface.cfg == gaussian
+    pc, q = paired.prior.control, paired.current.treated
+    np.testing.assert_array_equal(
+        surface.evaluate_many(q.s, q.w)[0],
+        nw_surface_many(pc.s, pc.w, pc.y, BW.h2, BW.h3, KernelKind.GAUSSIAN,
+                        q.s, q.w, gaussian)[0])
 
 
 class PairedLike:

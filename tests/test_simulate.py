@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from surrtest import simulate
 from surrtest.data import validate_paired
@@ -37,6 +38,14 @@ def test_unknown_setting():
         true_deltas("one")
     with pytest.raises(UnknownSetting):
         SimConfig(setting=11)
+    # a setting is an integer, as the sizes are: 1.0 is not setting 1
+    with pytest.raises(UnknownSetting):
+        generate_setting(1.0, "prior", 10, 10, 1)
+    with pytest.raises(UnknownSetting):
+        true_deltas(1.0)
+    assert true_deltas(np.int64(1)) == true_deltas(1)
+    np.testing.assert_array_equal(generate_setting(np.int64(1), "prior", 10, 10, 1).treated.y,
+                                  generate_setting(1, "prior", 10, 10, 1).treated.y)
 
 
 def test_which_validation():
@@ -97,6 +106,23 @@ def test_streams_disjoint():
     np.testing.assert_array_equal(a.control.y, a2.control.y)
 
 
+class _TopUniforms:
+    """A generator whose every uniform is the largest one, 1 - 2^-53."""
+
+    def random(self, n):
+        return np.full(n, 1.0 - 2.0**-53)
+
+
+def test_normal_draws_stay_finite_at_the_top_uniform():
+    assert np.isfinite(simulate.normal(_TopUniforms(), 4.0, 3)).all()
+
+
+def test_normal_is_the_offset_inverse_cdf_bit_for_bit():
+    u = simulate.stream(1, 5, 0, 0, 2).random(10_000)
+    drawn = simulate.normal(simulate.stream(1, 5, 0, 0, 2), 4.0, 10_000)
+    np.testing.assert_array_equal(drawn, 4.0 * ndtri(u + 2.0**-54))
+
+
 # ------------------------------------------------------------ true values
 
 def test_true_deltas_closed_forms():
@@ -128,8 +154,7 @@ def test_tilde_approaches_population_value_with_big_prior():
     surface = Mu0Surface(
         s=pc.s, w=pc.w, y=pc.y,
         h_s=rule_of_thumb_bandwidth(pc.s, -0.4, 2.0),
-        h_w=rule_of_thumb_bandwidth(pc.w, -0.4, 2.0),
-        kernel=cfg.kernel, cfg=cfg)
+        h_w=rule_of_thumb_bandwidth(pc.w, -0.4, 2.0), cfg=cfg)
     tilde = tilde_delta_h(surface, 5, 100_000, master_seed=1)
     assert tilde == pytest.approx(5.9136, abs=0.35)
 
@@ -154,6 +179,9 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="reps must be a positive integer"):
         SimConfig(setting=1, reps=2.0)
     assert SimConfig(setting=1, n1=np.int64(30)).n1 == 30  # numpy integers pass
+    with pytest.raises(UnknownSetting):
+        SimConfig(setting=1.0)
+    assert SimConfig(setting=np.int64(1)).setting == 1
 
 
 def test_summary_shape():
