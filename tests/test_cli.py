@@ -235,8 +235,7 @@ def test_failed_replication_names_replication_and_stage(tmp_path, capsys):
                             "--no-fix-prior", "--oob", "error",
                             "--out", str(tmp_path / "o")], capsys)
     assert code == 1
-    assert err == ("error (OutOfSupport): 40 of 40 replications failed kernel-support "
-                   "checks; first failure (replication 0): surface transport: "
+    assert err == ("error (OutOfSupport): replication 0: surface transport: "
                    "50 query point(s) have kernel mass below 1e-10; "
                    "nearest-point clamping is disabled; covariate-ignoring curve: "
                    "7 query point(s) have kernel mass below 1e-10; "

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -286,6 +287,45 @@ def test_error_policy_fails_on_tail_extrapolation():
                     oob_policy=OobPolicy.ERROR)
     with pytest.raises(OutOfSupport):
         run_simulation(cfg)
+
+
+def test_one_thread_runs_replications_in_the_caller(monkeypatch):
+    # threads=1 builds no pool: a pool worker allocates in a second malloc
+    # arena, and a profiler of the caller sees only its lock
+    real = simulate.estimate_suite
+    seen = []
+
+    def record(*args):
+        seen.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "estimate_suite", record)
+    run_simulation(SimConfig(setting=5, **FAST))
+    assert seen == [threading.get_ident()] * FAST["reps"]
+
+
+def test_first_failed_replication_ends_the_campaign(monkeypatch):
+    # with a fresh prior every setting-1 replication fails under the error
+    # policy; the campaign stops at replication 0 and names it, and a pool
+    # re-raises that same failure
+    real = simulate.estimate_suite
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "estimate_suite", count)
+    cfg = SimConfig(setting=1, reps=40, fix_prior=False, oob_policy=OobPolicy.ERROR)
+    with pytest.raises(OutOfSupport) as serial:
+        run_simulation(cfg)
+    assert len(calls) == 1
+    assert str(serial.value).startswith("replication 0: surface transport: ")
+    assert len(serial.value.indices) == 50  # the first failing stage's queries
+    with pytest.raises(OutOfSupport) as pooled:
+        run_simulation(dataclasses.replace(cfg, threads=2))
+    assert str(pooled.value) == str(serial.value)
+    np.testing.assert_array_equal(pooled.value.indices, serial.value.indices)
 
 
 def test_master_seed_changes_results():
