@@ -19,7 +19,7 @@ cfg = SimConfig(
 summary = run_simulation(cfg)
 
 print(f"setting {summary.setting}: {summary.reps} reps, "
-      f"{summary.n_failed} failed, {summary.clamped_evals} clamped evaluations")
+      f"{summary.clamped_evals} clamped evaluations")
 print(f"true effect {summary.truth_delta:.4f}, transported-scale target "
       f"{summary.truth_tilde_delta_h:.4f}")
 

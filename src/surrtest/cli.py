@@ -54,16 +54,16 @@ from .smoothing import (
     sample_spread,
 )
 
-# the options that set a result, with their argparse settings; each
-# subcommand takes those it reads, and its report echoes the ones it takes
+# the options that set a result, with their argparse settings and SimConfig's
+# defaults; each subcommand takes those it reads, and its report echoes them
 _PROVENANCE = {
-    "kernel": dict(choices=[k.value for k in KernelKind], default="epanechnikov"),
-    "alpha": dict(type=float, default=0.05),
-    "seed": dict(type=int, default=1),
+    "kernel": dict(choices=[k.value for k in KernelKind], default=SimConfig.kernel.value),
+    "alpha": dict(type=float, default=SimConfig.alpha),
+    "seed": dict(type=int, default=SimConfig.master_seed),
     # clamp by default: heavy-tailed markers routinely put a few treated
     # points past the prior control support, and an analysis command that
     # aborts on them is useless; the clamp count lands in the diagnostics
-    "oob": dict(choices=[p.value for p in OobPolicy], default="clamp",
+    "oob": dict(choices=[p.value for p in OobPolicy], default=SimConfig.oob_policy.value,
                 help="out-of-support policy (default: clamp, with counts reported)"),
 }
 
@@ -181,16 +181,6 @@ def cmd_test(args) -> int:
     return 0
 
 
-def simulation_rows(summary) -> list:
-    """One summary.csv row per method: the setting, the MethodSummary fields
-    and the campaign-level columns."""
-    campaign = {key: getattr(summary, key) for key in (
-        "truth_delta", "truth_delta_h", "truth_tilde_delta_h",
-        "se_ratio_pooled_simple", "reps", "n_failed")}
-    return [{"setting": summary.setting, **vars(summary.methods[m.value]), **campaign}
-            for m in Method]
-
-
 def cmd_simulate(args) -> int:
     if args.setting is None:
         raise ConfigError("simulate needs --setting (flag or config file)")
@@ -211,9 +201,8 @@ def cmd_simulate(args) -> int:
     print(f"truth: delta={summary.truth_delta:.4f} "
           f"delta_h={summary.truth_delta_h:.4f} "
           f"tilde_delta_h={_fmt(summary.truth_tilde_delta_h)}")
-    header = (f"{'method':<42} {'estimate':>9} {'bias':>7} {'bias~':>7} "
-              f"{'ESE':>7} {'ASE':>7} {'cov':>6} {'cov~':>6} {'effect':>8} {'power':>6}")
-    print(header)
+    print(f"{'method':<42} {'estimate':>9} {'bias':>7} {'bias~':>7} "
+          f"{'ESE':>7} {'ASE':>7} {'cov':>6} {'cov~':>6} {'effect':>8} {'power':>6}")
     for method in Method:
         m = summary.methods[method.value]
         print(f"{_METHOD_LABEL[method]:<42} {m.mean_estimate:>9.3f} "
@@ -221,14 +210,17 @@ def cmd_simulate(args) -> int:
               f"{m.ese:>7.3f} {m.ase:>7.3f} {_fmt(m.coverage, 3):>6} "
               f"{_fmt(m.coverage_tilde, 3):>6} {m.effect_size:>8.3f} {m.power:>6.3f}")
     print(f"empirical SE ratio pooled/simple: {summary.se_ratio_pooled_simple:.4f}")
-    print(f"failed replications: {summary.n_failed}; "
-          f"clamped evaluations: {summary.clamped_evals}")
+    print(f"clamped evaluations: {summary.clamped_evals}")
     print(f"elapsed: {elapsed:.1f}s")
 
+    campaign = {key: getattr(summary, key) for key in (
+        "truth_delta", "truth_delta_h", "truth_tilde_delta_h", "se_ratio_pooled_simple", "reps")}
+    rows = [{"setting": summary.setting, **vars(summary.methods[m.value]), **campaign}
+            for m in Method]
     _write_outputs(args, "simulate", {
-        # kernel and oob_policy are echoed as provenance; threads never enters a report
-        "config": {f.name: getattr(cfg, f.name) for f in fields(SimConfig)
-                   if f.name not in ("kernel", "oob_policy", "threads")},
+        # kernel, alpha, seed and oob are echoed at the top; threads never enters a report
+        "config": {f.name: getattr(cfg, f.name) for f in fields(SimConfig) if f.name not in
+                   ("kernel", "alpha", "master_seed", "oob_policy", "threads")},
         "truth": {
             "delta": summary.truth_delta,
             "delta_h": summary.truth_delta_h,
@@ -237,9 +229,8 @@ def cmd_simulate(args) -> int:
         "bandwidths": {k: getattr(summary, k) for k in ("mean_h0", "mean_h1", "h2", "h3", "h4")},
         "methods": {m.value: vars(summary.methods[m.value]) for m in Method},
         "se_ratio_pooled_simple": summary.se_ratio_pooled_simple,
-        "n_failed": summary.n_failed,
         "clamped_evaluations": summary.clamped_evals,
-    }, simulation_rows(summary))
+    }, rows)
     return 0
 
 

@@ -279,7 +279,6 @@ class SimulationSummary:
 
     setting: int
     reps: int
-    n_failed: int  # always 0, as a failure ends the campaign; bench/ and the report bind it
     truth_delta: float
     truth_delta_h: float
     truth_tilde_delta_h: Optional[float]  # None when the prior is redrawn each rep
@@ -291,6 +290,7 @@ class SimulationSummary:
     h3: float
     h4: float
     clamped_evals: int
+    n_failed = 0  # not a result: a failure ends the campaign; bench/ reads it
 
 
 def _bias_and_coverage(tests: list, mean_est: float, target: Optional[float]) -> tuple:
@@ -393,7 +393,7 @@ def run_simulation(cfg: SimConfig) -> SimulationSummary:
     ratio = methods[Method.H_POOLED.value].ase / methods[Method.H_SIMPLE.value].ase
 
     return SimulationSummary(
-        setting=cfg.setting, reps=cfg.reps, n_failed=0,
+        setting=cfg.setting, reps=cfg.reps,
         truth_delta=truth_delta, truth_delta_h=truth_delta_h,
         truth_tilde_delta_h=tilde, methods=methods,
         se_ratio_pooled_simple=ratio,

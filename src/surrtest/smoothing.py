@@ -209,9 +209,11 @@ def _kernel_sums(data, ys, queries, kernel: KernelKind) -> tuple[np.ndarray, np.
 def _nearest_points(data, points) -> list:
     """Coordinates of the data point nearest each point, in bandwidth-scaled
     distance, ties going to the lowest data index."""
-    dist2 = np.zeros((points[0].size, data[0][0].size))
+    dist2 = None  # the first coordinate's squares, then each later one added in place
     for (x, h), p in zip(data, points):
-        dist2 += ((x / h)[None, :] - p[:, None] / h) ** 2
+        d = np.subtract((x / h)[None, :], (p / h)[:, None])
+        np.square(d, out=d)
+        dist2 = d if dist2 is None else np.add(dist2, d, out=dist2)
     nearest = np.argmin(dist2, axis=1)
     return [x[nearest] for x, _ in data]
 

@@ -162,19 +162,33 @@ SIM_ARGS = ["simulate", "--setting", "7", "--reps", "4", "--n1p", "120",
 
 def test_simulate_small_campaign(tmp_path, capsys):
     out = tmp_path / "a"
-    code, stdout, _ = run_cli(SIM_ARGS + ["--out", str(out)], capsys)
+    code, _, _ = run_cli(SIM_ARGS + ["--out", str(out)], capsys)
     assert code == 0
-    assert "failed replications: 0" in stdout
     report = read_report(out)
     assert report["config"]["reps"] == 4
-    # kernel and oob_policy are echoed as provenance, threads never
-    assert set(report["config"]) == \
-        {f.name for f in fields(SimConfig)} - {"kernel", "oob_policy", "threads"}
+    # kernel, alpha, master_seed and oob_policy are echoed as provenance, threads never
+    assert set(report["config"]) == {f.name for f in fields(SimConfig)} - {
+        "kernel", "alpha", "master_seed", "oob_policy", "threads"}
     assert set(report["methods"]) == {"gold", "p", "h_pooled", "h_simple",
                                       "h_twostage", "h_aug"}
     assert report["truth"]["delta"] == 0.0
     header, rows = csv_rows(out)
     assert len(rows) == 6
+
+
+def test_simulate_outputs_state_each_fact_once(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, stdout, _ = run_cli(SIM_ARGS + ["--alpha", "0.1", "--out", str(out)], capsys)
+    assert code == 0
+    assert "failed replications" not in stdout
+    report = read_report(out)
+    assert "n_failed" not in report
+    assert "n_failed" not in csv_rows(out)[0]
+    # the provenance options sit at the top only; config holds sizes and mode
+    assert set(report["config"]) == {"setting", "n1p", "n0p", "n1", "n0", "reps",
+                                     "fix_prior", "truth_mc_draws"}
+    assert (report["alpha"], report["seed"]) == (0.1, 3)
+    assert (report["kernel"], report["oob"]) == ("epanechnikov", "clamp")
 
 
 def test_simulate_byte_identical_across_runs_and_threads(tmp_path, capsys):
@@ -292,8 +306,11 @@ def test_simulate_defaults_are_simconfig_defaults():
     args = parse_args(["simulate"])
     for option, field in (("reps", "reps"), ("n1p", "n1p"), ("n0p", "n0p"),
                           ("n1", "n1"), ("n0", "n0"), ("truth_draws", "truth_mc_draws"),
-                          ("threads", "threads"), ("fix_prior", "fix_prior")):
+                          ("threads", "threads"), ("fix_prior", "fix_prior"),
+                          ("alpha", "alpha"), ("seed", "master_seed")):
         assert getattr(args, option) == getattr(SimConfig, field), option
+    assert args.kernel == SimConfig.kernel.value
+    assert args.oob == SimConfig.oob_policy.value
 
 
 def test_simulate_rejects_zero_reps(tmp_path, capsys):

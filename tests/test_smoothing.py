@@ -317,24 +317,28 @@ def test_values_do_not_depend_on_query_batching(dim, kind, policy, cuts):
 @pytest.mark.parametrize("dim", [1, 2], ids=["curve", "surface"])
 @pytest.mark.parametrize("kind", [EPA, GAU], ids=["epanechnikov", "gaussian"])
 def test_call_peaks_at_one_block_per_coordinate(dim, kind):
-    # every coordinate's kernel weights share one block of _BLOCK_DOUBLES,
-    # so a call's allocations peak below 1.25 blocks whatever the data size
+    # every coordinate's kernel weights share one block of _BLOCK_DOUBLES, and
+    # the clamp path's distances fit in one block too, so a call's allocations
+    # peak below 1.25 blocks whatever the data size, in support or all clamped
     rng = np.random.default_rng(12)
-    cfg = SmoothingConfig(kernel=kind, oob_policy=OobPolicy.ERROR)
     for n_data in (10**4, 2 * 10**4):
         data = [rng.uniform(0, 10, n_data) for _ in range(dim)]
         ys = rng.normal(0, 1, n_data)
-        queries = [rng.uniform(1, 9, 600) for _ in range(dim)]
-        tracemalloc.start()
-        try:
-            if dim == 1:
-                nw_curve_many(data[0], ys, 0.5, kind, queries[0], cfg)
-            else:
-                nw_surface_many(*data, ys, 0.5, 0.5, kind, *queries, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * smoothing._BLOCK_DOUBLES * 8, n_data
+        # in support, then at least 10 bandwidths past the data
+        for lo, hi, policy in ((1, 9, OobPolicy.ERROR), (15, 20, OobPolicy.CLAMP_TO_NEAREST)):
+            queries = [rng.uniform(lo, hi, 600) for _ in range(dim)]
+            cfg = SmoothingConfig(kernel=kind, oob_policy=policy)
+            tracemalloc.start()
+            try:
+                if dim == 1:
+                    _, clamped = nw_curve_many(data[0], ys, 0.5, kind, queries[0], cfg)
+                else:
+                    _, clamped = nw_surface_many(*data, ys, 0.5, 0.5, kind, *queries, cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * smoothing._BLOCK_DOUBLES * 8, (n_data, policy)
+            assert clamped == (600 if policy is OobPolicy.CLAMP_TO_NEAREST else 0)
 
 
 _REPEATED_SURFACE_CALLS = """
