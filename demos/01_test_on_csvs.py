@@ -11,7 +11,7 @@ from surrtest.data import StudyArm, TwoArmStudy, load_study_csv, validate_paired
 from surrtest.estimators import Method, estimate_suite, pte_ratio
 from surrtest.inference import wald_test
 from surrtest.simulate import generate_setting
-from surrtest.smoothing import KernelKind, OobPolicy, SmoothingConfig, default_bandwidths
+from surrtest.smoothing import SmoothingConfig, default_bandwidths
 
 # --- fabricate a study pair from the built-in generator ------------------
 # prior: both arms carry the outcome. current: outcome stripped (blinded).
@@ -37,9 +37,9 @@ for msg in paired.warnings:
     print("warning:", msg)
 
 # --- estimate -------------------------------------------------------------
-# clamping handles the few treated markers past the prior control support
-cfg = SmoothingConfig(kernel=KernelKind.EPANECHNIKOV,
-                      oob_policy=OobPolicy.CLAMP_TO_NEAREST)
+# the default policy, Epanechnikov with clamping, handles the few treated
+# markers past the prior control support
+cfg = SmoothingConfig()
 bw = default_bandwidths(paired)  # the recipe is the same for both kernels
 print(f"bandwidths: h0={bw.h0:.3f} h1={bw.h1:.3f} h2={bw.h2:.3f} "
       f"h3={bw.h3:.3f} h4={bw.h4:.3f}")

@@ -54,17 +54,14 @@ from .smoothing import (
     sample_spread,
 )
 
-# the options that set a result, with their argparse settings and SimConfig's
-# defaults; each subcommand takes those it reads, and its report echoes them
+# the options that set a result, with argparse settings and SmoothingConfig's or
+# SimConfig's defaults; each subcommand takes those it reads, and its report echoes them
 _PROVENANCE = {
-    "kernel": dict(choices=[k.value for k in KernelKind], default=SimConfig.kernel.value),
+    "kernel": dict(choices=[k.value for k in KernelKind], default=SmoothingConfig.kernel.value),
     "alpha": dict(type=float, default=SimConfig.alpha),
     "seed": dict(type=int, default=SimConfig.master_seed),
-    # clamp by default: heavy-tailed markers routinely put a few treated
-    # points past the prior control support, and an analysis command that
-    # aborts on them is useless; the clamp count lands in the diagnostics
-    "oob": dict(choices=[p.value for p in OobPolicy], default=SimConfig.oob_policy.value,
-                help="out-of-support policy (default: clamp, with counts reported)"),
+    "oob": dict(choices=[p.value for p in OobPolicy], default=SmoothingConfig.oob_policy.value,
+                help="out-of-support policy (default: %(default)s, with counts reported)"),
 }
 
 _METHOD_LABEL = {

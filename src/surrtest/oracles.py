@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonPositiveDelta0
-from .simulate import normal, stream
+from .simulate import SimConfig, normal, stream
 
 __all__ = [
     "DiscreteMix",
@@ -139,7 +139,7 @@ def lognormal_delta_p_linearized(delta0: float) -> float:
 
 
 def lognormal_counterexample_mc(delta0: float, n: int,
-                                master_seed: int = 0) -> MCTriple:
+                                master_seed: int = SimConfig.master_seed) -> MCTriple:
     """Simulate the lognormal model and estimate all three contrasts.
 
     Uses the exact conditional-mean transforms (s*w and exp(1/4)*s^(3/2)),

@@ -215,10 +215,9 @@ def tilde_delta_h(surface: Mu0Surface, setting: int, truth_mc_draws: int,
     lo, hi = law.current_w
     rng_w, rng_s1, rng_s0 = (stream(master_seed, setting, _CTX_TRUTH, 0, tag)
                              for tag in (_TAG_W1, _TAG_S1, _TAG_S0))
-    w = _uniform(rng_w, lo, hi, truth_mc_draws)
-    s1 = rng_s1.gamma(law.treated.shape, law.treated.scale, truth_mc_draws)
-    s0 = rng_s0.gamma(law.control.shape, law.control.scale, truth_mc_draws)
-    v, _ = surface.evaluate_many(np.concatenate([s1, s0]), np.concatenate([w, w]))
+    s = np.concatenate([rng_s1.gamma(law.treated.shape, law.treated.scale, truth_mc_draws),
+                        rng_s0.gamma(law.control.shape, law.control.scale, truth_mc_draws)])
+    v, _ = surface.evaluate_many(s, np.tile(_uniform(rng_w, lo, hi, truth_mc_draws), 2))
     return float(v[:truth_mc_draws].mean() - v[truth_mc_draws:].mean())
 
 
@@ -236,12 +235,13 @@ class SimConfig:
     alpha: float = 0.05
     fix_prior: bool = True
     truth_mc_draws: int = 10**6
-    kernel: KernelKind = KernelKind.EPANECHNIKOV
-    oob_policy: OobPolicy = OobPolicy.CLAMP_TO_NEAREST
+    kernel: KernelKind = SmoothingConfig.kernel
+    oob_policy: OobPolicy = SmoothingConfig.oob_policy
     threads: int = 1
 
     def __post_init__(self):
         _law(self.setting)
+        SmoothingConfig(self.kernel, self.oob_policy)
         for name in ("n1p", "n0p", "n1", "n0", "reps", "truth_mc_draws", "threads"):
             size = getattr(self, name)
             if not hasattr(size, "__index__") or size < 1:  # as operator.index: no floats

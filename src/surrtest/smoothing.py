@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSpread, NonFiniteValue, NonPositiveBandwidth, OutOfSupport
+from .errors import (ConfigError, DegenerateSpread, NonFiniteValue, NonPositiveBandwidth,
+                     OutOfSupport)
 
 __all__ = [
     "KernelKind",
@@ -84,10 +85,17 @@ class Bandwidths:
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Evaluation policy shared by all smoother calls."""
+    """Smoother policy: ConfigError unless kernel is a KernelKind and oob_policy an OobPolicy."""
 
     kernel: KernelKind = KernelKind.EPANECHNIKOV
-    oob_policy: OobPolicy = OobPolicy.ERROR
+    # clamp by default: heavy-tailed markers put a few treated points past the prior
+    # control support, an analysis that aborts on them is useless, and clamps are counted
+    oob_policy: OobPolicy = OobPolicy.CLAMP_TO_NEAREST
+
+    def __post_init__(self):
+        for name, kind in (("kernel", KernelKind), ("oob_policy", OobPolicy)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 def _profile(kind: KernelKind, u: np.ndarray) -> np.ndarray:
@@ -260,7 +268,7 @@ def _smoother_inputs(data: dict, queries: dict) -> tuple[list, list]:
     xs = [np.asarray(v, dtype=float) for v in data.values()]
     if xs[0].ndim != 1 or xs[0].size == 0 or any(v.shape != xs[0].shape for v in xs):
         raise ValueError(f"{', '.join(data)} must be equal-length nonempty 1-D arrays")
-    qs = [np.array(v, dtype=float, ndmin=1) for v in queries.values()]
+    qs = [np.array(v, dtype=float, ndmin=1, copy=None) for v in queries.values()]
     if any(q.shape != qs[0].shape for q in qs):
         raise ValueError("query arrays must have matching shapes")
     for name, v in zip([*data, *queries], xs + qs):

@@ -274,7 +274,7 @@ def test_c7_se_ratio(setting):
 # --------------------------------- criterion 8: micro-scale oracle checks
 
 def test_c8_hand_fixtures():
-    cfg = SmoothingConfig(kernel=KernelKind.EPANECHNIKOV)
+    cfg = SmoothingConfig(kernel=KernelKind.EPANECHNIKOV, oob_policy=OobPolicy.ERROR)
     (got_1d,), _ = nw_curve_many([0.0, 1.0, 2.0], [0.0, 1.0, 2.0],
                                  1.5, cfg.kernel, [0.5], cfg)
     print(f"c8: 1-d fixture {got_1d:.12f} vs 0.5")
@@ -293,7 +293,7 @@ def test_c8_naive_reference_on_micro_fixture():
     from test_estimators import BW, naive_everything
 
     paired = tiny_pair()
-    cfg = SmoothingConfig(kernel=KernelKind.EPANECHNIKOV)
+    cfg = SmoothingConfig(kernel=KernelKind.EPANECHNIKOV, oob_policy=OobPolicy.ERROR)
     suite = estimate_suite(paired, BW, cfg)
     naive = naive_everything(paired, BW)
     pairs = ((Method.H_SIMPLE, "simple", "se_simple"),

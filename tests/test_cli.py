@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from surrtest.data import StudyArm, TwoArmStudy, load_study_csv, validate_paired
 from surrtest.errors import ConfigError, OutOfSupport
 from surrtest.estimators import Method, estimate_suite
 from surrtest.inference import wald_test
+from surrtest.oracles import lognormal_counterexample_mc
 from surrtest.simulate import SimConfig, generate_setting, run_simulation
 from surrtest.smoothing import KernelKind, OobPolicy, SmoothingConfig, default_bandwidths
 
@@ -296,10 +298,12 @@ def test_oob_error_names_every_failing_stage(tmp_path, capsys, monkeypatch):
     # the indices are the first failing stage's, treated queries first
     indices = exc_info.value.indices
     assert (indices < 300).sum() == 20 and (indices >= 300).sum() == 16
-    # clamping clamps the same queries in each stage
-    suite = estimate_suite(paired, bw, SmoothingConfig(oob_policy=OobPolicy.CLAMP_TO_NEAREST))
-    assert suite[Method.H_SIMPLE].n_clamped == suite[Method.H_POOLED].n_clamped == 36
-    assert suite[Method.P].n_clamped == 6
+    # clamping clamps the same queries in each stage, and a library caller's
+    # SmoothingConfig() clamps as the command does by default
+    for cfg in (SmoothingConfig(oob_policy=OobPolicy.CLAMP_TO_NEAREST), SmoothingConfig()):
+        suite = estimate_suite(paired, bw, cfg)
+        assert suite[Method.H_SIMPLE].n_clamped == suite[Method.H_POOLED].n_clamped == 36
+        assert suite[Method.P].n_clamped == 6
 
 
 def test_simulate_defaults_are_simconfig_defaults():
@@ -311,6 +315,14 @@ def test_simulate_defaults_are_simconfig_defaults():
         assert getattr(args, option) == getattr(SimConfig, field), option
     assert args.kernel == SimConfig.kernel.value
     assert args.oob == SimConfig.oob_policy.value
+
+
+def test_library_defaults_are_the_cli_defaults():
+    args = parse_args(["test", "p.csv", "c.csv"])
+    assert SmoothingConfig().kernel.value == args.kernel
+    assert SmoothingConfig().oob_policy.value == args.oob
+    seed = inspect.signature(lognormal_counterexample_mc).parameters["master_seed"].default
+    assert seed == parse_args(["oracle", "lognormal"]).seed
 
 
 def test_simulate_rejects_zero_reps(tmp_path, capsys):

@@ -30,7 +30,7 @@ from surrtest.smoothing import (
 from conftest import tiny_pair
 
 EPA = KernelKind.EPANECHNIKOV
-ERR_CFG = SmoothingConfig(kernel=EPA)
+ERR_CFG = SmoothingConfig(kernel=EPA, oob_policy=OobPolicy.ERROR)
 BW = Bandwidths(h0=2.0, h1=2.0, h2=2.0, h3=2.0, h4=2.0)
 
 

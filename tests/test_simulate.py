@@ -1,15 +1,16 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from surrtest import simulate
+from surrtest import simulate, smoothing
 from surrtest.data import validate_paired
 from surrtest.errors import ConfigError, OutOfSupport, UnknownSetting, ZeroSE
-from surrtest.estimators import Method, Mu0Surface
+from surrtest.estimators import Method, Mu0Surface, fit_mu0_surface
 from surrtest.simulate import (
     SimConfig,
     generate_setting,
@@ -160,6 +161,24 @@ def test_tilde_approaches_population_value_with_big_prior():
     assert tilde == pytest.approx(5.9136, abs=0.35)
 
 
+def test_tilde_holds_few_doubles_per_draw():
+    # per draw a call holds its 2 surrogates and 2 covariates, which the
+    # smoother does not copy, and 2 smoothed values; each arm's own draws
+    # live only until they are joined
+    prior = generate_setting(1, "prior", 1000, 800, master_seed=1)
+    paired = validate_paired(prior, prior)
+    surface = fit_mu0_surface(paired, default_bandwidths(paired),
+                              KernelKind.EPANECHNIKOV, SmoothingConfig())
+    draws = 20_000
+    tracemalloc.start()
+    try:
+        tilde_delta_h(surface, 1, draws, master_seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (smoothing._BLOCK_DOUBLES + 10 * draws) * 8
+
+
 # --------------------------------------------------------------- campaign
 
 def test_config_validation():
@@ -183,6 +202,20 @@ def test_config_validation():
     with pytest.raises(UnknownSetting):
         SimConfig(setting=1.0)
     assert SimConfig(setting=np.int64(1)).setting == 1
+    # the smoothing policy is an enum member, never a string that would pass
+    # every `is OobPolicy.ERROR` test as a clamp
+    with pytest.raises(ConfigError, match="oob_policy must be of type OobPolicy, got 'error'"):
+        SimConfig(setting=1, oob_policy="error")
+    with pytest.raises(ConfigError, match="kernel must be of type KernelKind, got 'gaussian'"):
+        SimConfig(setting=1, kernel="gaussian")
+    with pytest.raises(ConfigError, match="oob_policy"):
+        SmoothingConfig(oob_policy="error")
+    with pytest.raises(ConfigError, match="kernel"):
+        SmoothingConfig(kernel="gaussian")
+    prior = generate_setting(1, "prior", 100, 80, master_seed=1)
+    paired = validate_paired(prior, prior)
+    with pytest.raises(ConfigError, match="kernel"):
+        fit_mu0_surface(paired, default_bandwidths(paired), "gaussian", SmoothingConfig())
 
 
 def test_summary_shape():
