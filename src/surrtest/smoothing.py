@@ -4,6 +4,11 @@ This module is the numeric core every estimator builds on.  All smoothers are
 plain kernel-weighted averages; queries whose kernel neighborhood carries no
 mass are handled by an explicit out-of-bounds policy instead of silently
 returning NaN.
+
+Two engines compute the kernel sums.  The Epanechnikov surface, whose kernel
+vanishes past one bandwidth, goes to a cell grid that weighs only the data
+points in each query's neighbouring cells; every other smoother weighs every
+data point for every query.
 """
 
 from __future__ import annotations
@@ -33,9 +38,21 @@ __all__ = [
     "nw_surface_many",
 ]
 
-# Kernel weights per query block, 16 MiB: under glibc's 32 MiB mmap ceiling, so a
-# block stays in malloc's heap, yet a campaign surface call (600 x 800 x 2) is one block.
+# Working doubles per query block, 16 MiB: under glibc's 32 MiB mmap ceiling, so a
+# block stays in malloc's heap, yet a campaign surface call (600 x 800 x 2) is one
+# block.  The dense engine fills it with kernel weights; the cell grid with the
+# candidate pairs of a block's queries, which are far fewer.
 _BLOCK_DOUBLES = 2**21
+
+# A cell-grid candidate pair holds two indices and three doubles, so a chunk of
+# _MAX_PAIRS pairs fills one _BLOCK_DOUBLES workspace.
+_PAIR_DOUBLES = 5
+_MAX_PAIRS = _BLOCK_DOUBLES // _PAIR_DOUBLES
+
+# Doubles a block reserves per query row and coordinate, at least.  The cell
+# grid's per-query search arrays take a few dozen doubles a row, so blocks sized
+# by n_data alone would outgrow one _BLOCK_DOUBLES on a few data points.
+_MIN_ROW_DOUBLES = 64
 
 # Minimum admissible summed kernel mass of a query (raw kernel sums, no 1/h);
 # below it the out-of-bounds policy applies.  A data point's own weight
@@ -226,28 +243,142 @@ def _nearest_points(data, points) -> list:
     return [x[nearest] for x, _ in data]
 
 
+def _support(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo < q < hi holding every x of positive weight K((x - q) / h).
+
+    An Epanechnikov weight is positive only when |fl(x - q)| < h, hence when
+    |x - q| < h (1 + 2^-52).  The margin m = h (1 + 2^-50) covers that, and one
+    step outward from fl(q -/+ m) covers the rounding of the sum.
+    """
+    m = h * (1.0 + 2.0**-50)
+    return np.nextafter(q - m, -np.inf), np.nextafter(q + m, np.inf)
+
+
+class _CellGrid:
+    """Epanechnikov product-kernel sums over 2-D data, weighing candidate pairs only.
+
+    Binning for kernel estimators (Fan & Marron 1994; Wand 1994).  The data are
+    sorted once, by the key (cell, w rank): the cell is floor(s / h_s), ranked
+    among the occupied cells, and the w rank a point's place in the data sorted
+    by w.  Keys stay below n_data^2 at any bandwidth.  A query's candidates in
+    one cell are then one contiguous key range: the w ranks inside its _support
+    bounds.  As division and floor are monotone, the cells from floor(lo / h_s)
+    to floor(hi / h_s) hold every s inside them, so the candidates hold every
+    point of positive weight.
+
+    Each pair's weight is computed as _kernel_sums computes it, bit for bit, and
+    zero weights add nothing; only the order of a query's sum differs, as
+    np.bincount adds its pairs one after another in key order.
+    """
+
+    def __init__(self, data, ys):
+        (s, self.h_s), (w, self.h_w) = data
+        self.n = s.size
+        self.cells, cell = np.unique(np.floor(s / self.h_s), return_inverse=True)
+        by_w = np.argsort(w, kind="stable")
+        self.w_sorted = w[by_w]
+        w_rank = np.empty(self.n, dtype=np.int64)
+        w_rank[by_w] = np.arange(self.n)
+        key = cell * self.n + w_rank
+        order = np.argsort(key)
+        self.keys = key[order]
+        self.s, self.w, self.y = s[order], w[order], ys[order]
+        self._work = np.empty((_PAIR_DOUBLES, 0))
+
+    def sums(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """Raw kernel sums (numerator, denominator) of each query row, as _kernel_sums."""
+        qs, qw = queries
+        s_lo, s_hi = _support(qs, self.h_s)
+        w_lo, w_hi = _support(qw, self.h_w)
+        first = np.searchsorted(self.cells, np.floor(s_lo / self.h_s))
+        last = np.searchsorted(self.cells, np.floor(s_hi / self.h_s), side="right")
+        cell = first[:, None] + np.arange(int((last - first).max()))
+        base = cell * self.n
+        start = np.searchsorted(self.keys, base + np.searchsorted(self.w_sorted, w_lo)[:, None])
+        count = np.searchsorted(
+            self.keys, base + np.searchsorted(self.w_sorted, w_hi, side="right")[:, None])
+        count -= start
+        count[cell >= last[:, None]] = 0
+        # chunks of whole queries whose candidate pairs fit the workspace
+        ends = np.cumsum(count.sum(axis=1))
+        num, den = np.empty(qs.size), np.empty(qs.size)
+        lo = 0
+        while lo < qs.size:
+            before = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, before + _MAX_PAIRS, side="right")))
+            self._weigh(qs[lo:hi], qw[lo:hi], start[lo:hi], count[lo:hi],
+                        num[lo:hi], den[lo:hi])
+            lo = hi
+        return num, den
+
+    def _weigh(self, qs, qw, start, count, num, den) -> None:
+        """Write the sums of one chunk of queries into num and den.
+
+        start and count hold each query's key ranges, one row per query; the
+        pairs are expanded into the workspace by cumulative sums of jumps.
+        """
+        width = count.shape[1]
+        entry = np.flatnonzero(count)
+        count, start = count.ravel()[entry], start.ravel()[entry]
+        pairs = int(count.sum())
+        if self._work.shape[1] < pairs:
+            self._work = None  # freed before its successor is allocated
+            self._work = np.empty((_PAIR_DOUBLES, max(pairs, min(_MAX_PAIRS, 2 * pairs))))
+        query, index = (self._work[i, :pairs].view(np.int64) for i in (0, 1))
+        u, v, t = self._work[2:, :pairs]
+        offset = np.cumsum(count) - count  # each range's first pair
+        query.fill(0)
+        query[offset] = np.diff(entry // width, prepend=0)
+        np.cumsum(query, out=query)
+        index.fill(1)
+        index[offset] = start - np.concatenate(([0], (start + count - 1)[:-1]))
+        np.cumsum(index, out=index)
+        for (x, qd, h), k in zip(((self.s, qs, self.h_s), (self.w, qw, self.h_w)), (u, v)):
+            np.take(x, index, out=k, mode="clip")
+            np.subtract(k, np.take(qd, query, out=t, mode="clip"), out=k)
+            _profile(KernelKind.EPANECHNIKOV, np.divide(k, h, out=k))
+        u *= v
+        den[:] = np.bincount(query, u, minlength=den.size)  # int64 when there are no pairs
+        np.multiply(u, np.take(self.y, index, out=v, mode="clip"), out=v)
+        num[:] = np.bincount(query, v, minlength=num.size)
+
+
 def _nw_product(data, ys, queries, kernel: KernelKind,
                cfg: SmoothingConfig) -> tuple[np.ndarray, int]:
     """Product-kernel Nadaraya-Watson smoother over any number of coordinates.
 
     `data` holds one (data coordinate, bandwidth) pair per dimension and `queries`
-    the matching query arrays; returns (values, clamped-query count).  A block of
-    queries holds at most _BLOCK_DOUBLES kernel weights, or past n_data =
-    _BLOCK_DOUBLES / d one query's d x n_data.  Either policy evaluates a
-    low-mass query at its nearest data point; under ERROR, OutOfSupport then
-    names every offending query and carries the clamped values.
+    the matching query arrays; returns (values, clamped-query count).  Queries go
+    in blocks of _BLOCK_DOUBLES // (d * max(n_data, _MIN_ROW_DOUBLES)) rows, at
+    least one, to one of two engines, chosen by kernel and dimension alone:
+
+    * the Epanechnikov surface goes to a _CellGrid built once per call, which
+      weighs a block's candidate pairs only, in chunks of at most _BLOCK_DOUBLES
+      doubles of pair workspace (one query's candidates past that);
+    * every other call goes to _kernel_sums, whose block holds rows x d x n_data
+      kernel weights, at most _BLOCK_DOUBLES or past n_data = _BLOCK_DOUBLES / d
+      one query's d x n_data.
+
+    Either engine sums each query's weights apart from every other query, so a
+    value depends only on its own query row.  Either policy evaluates a low-mass
+    query at its nearest data point; under ERROR, OutOfSupport then names every
+    offending query and carries the clamped values.
     """
+    if kernel is KernelKind.EPANECHNIKOV and len(data) == 2:
+        sums = _CellGrid(data, ys).sums
+    else:
+        def sums(q):
+            return _kernel_sums(data, ys, q, kernel)
     out = np.empty_like(queries[0])
     low = np.zeros(out.size, dtype=bool)  # queries with kernel mass below the floor
-    rows = max(1, _BLOCK_DOUBLES // (len(data) * ys.size))
+    rows = max(1, _BLOCK_DOUBLES // (len(data) * max(ys.size, _MIN_ROW_DOUBLES)))
     for lo in range(0, out.size, rows):
         q = [qd[lo:lo + rows] for qd in queries]
-        num, den = _kernel_sums(data, ys, q, kernel)
+        num, den = sums(q)
         low[lo:lo + rows] = den < _DENOM_FLOOR
         bad = np.flatnonzero(low[lo:lo + rows])
         if bad.size:
-            num[bad], den[bad] = _kernel_sums(
-                data, ys, _nearest_points(data, [qd[bad] for qd in q]), kernel)
+            num[bad], den[bad] = sums(_nearest_points(data, [qd[bad] for qd in q]))
         out[lo:lo + rows] = num / den
     bad = np.flatnonzero(low)
     if bad.size and cfg.oob_policy is OobPolicy.ERROR:

@@ -30,6 +30,7 @@ from surrtest.smoothing import (
     rule_of_thumb_bandwidth,
     sample_spread,
 )
+from test_estimators import _k, naive_mu0_2d
 
 EPA = KernelKind.EPANECHNIKOV
 GAU = KernelKind.GAUSSIAN
@@ -314,6 +315,145 @@ def test_values_do_not_depend_on_query_batching(dim, kind, policy, cuts):
     assert np.array_equal(whole[low], direct)
 
 
+# --------------------------------------------------------------- cell grid
+# The Epanechnikov surface weighs only the pairs in its cells' key ranges, so
+# each property checks it against the double loop, which weighs every pair.
+
+def _check_against_naive(ss, ws, ys, h_s, h_w, s0s, w0s):
+    """Assert nw_surface_many agrees with naive_mu0_2d at rel 1e-12 and clamps
+    exactly the queries whose double-loop mass is below the floor, each at its
+    nearest data point; returns the smoother's (values, clamped count)."""
+    ss, ws, ys, s0s, w0s = (np.array(v, dtype=float, ndmin=1) for v in (ss, ws, ys, s0s, w0s))
+    vals, n_clamped = nw_surface_many(ss, ws, ys, h_s, h_w, EPA, s0s, w0s, CLAMP)
+    mass = np.array([sum(_k((s - s0) / h_s) * _k((w - w0) / h_w) for s, w in zip(ss, ws))
+                     for s0, w0 in zip(s0s, w0s)])
+    low = mass < smoothing._DENOM_FLOOR
+    nearest = _nearest_data_point([(ss, h_s), (ws, h_w)], [s0s, w0s])
+    at = [np.where(low, x[nearest], q) for x, q in ((ss, s0s), (ws, w0s))]
+    naive = [naive_mu0_2d(ss.tolist(), ws.tolist(), ys.tolist(), h_s, h_w, s0, w0)
+             for s0, w0 in zip(*at)]
+    assert n_clamped == low.sum()
+    np.testing.assert_allclose(vals, naive, rtol=1e-12)
+    return vals, n_clamped
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_grid_ignores_the_order_of_the_data(seed):
+    rng = np.random.default_rng(seed)
+    ss, ws = rng.uniform(0, 10, (2, 60))
+    ys = rng.uniform(1, 2, 60)
+    h_s, h_w = rng.uniform(0.3, 3, 2)
+    queries = rng.uniform(-1, 11, (2, 30))
+    vals, n_clamped = _check_against_naive(ss, ws, ys, h_s, h_w, *queries)
+    perm = rng.permutation(60)
+    again, n_again = _check_against_naive(ss[perm], ws[perm], ys[perm], h_s, h_w, *queries)
+    assert n_again == n_clamped
+    np.testing.assert_allclose(again, vals, rtol=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       scale=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+       shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+@settings(max_examples=25, deadline=None)
+def test_grid_follows_positive_affine_maps(seed, scale, shift):
+    # a map of s or w, its bandwidth included, moves every cell edge
+    rng = np.random.default_rng(seed)
+    cloud = rng.uniform(0, 10, (2, 50))
+    ys = rng.uniform(1, 2, 50)
+    h = rng.uniform(0.3, 3, 2)
+    queries = rng.uniform(-1, 11, (2, 25))
+    a, b = np.array(scale)[:, None], np.array(shift)[:, None]
+    _check_against_naive(*(a * cloud + b), ys, *(a[:, 0] * h), *(a * queries + b))
+
+
+@given(seed=st.integers(0, 2**32 - 1), h=st.sampled_from([0.25, 0.5, 0.7, 1.0]))
+@settings(max_examples=25, deadline=None)
+def test_grid_handles_tied_data(seed, h):
+    # a coarse lattice: many points share a cell, an s, a w or both, and many
+    # queries sit on cell edges or exactly one bandwidth from a point
+    rng = np.random.default_rng(seed)
+    ss, ws = rng.integers(0, 8, (2, 60)) * 0.5
+    ys = rng.integers(0, 2, 60)
+    queries = rng.integers(-4, 20, (2, 30)) * 0.25
+    _check_against_naive(ss, ws, ys, h, 2 * h, *queries)
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=st.floats(0.8, 1.2))
+@settings(max_examples=25, deadline=None)
+def test_grid_handles_heavy_tails(seed, shape):
+    # gamma data of shape near 1 at the package's surface bandwidths: a dense
+    # core, a sparse tail of lone points, and tail queries that clamp
+    rng = np.random.default_rng(seed)
+    ss, ws = rng.gamma(shape, (1.0, 3.0), (60, 2)).T
+    ys = rng.uniform(1, 2, 60)
+    h_s, h_w = (rule_of_thumb_bandwidth(x, -0.4, 2.0) for x in (ss, ws))
+    queries = rng.gamma(shape, (1.0, 3.0), (30, 2)).T
+    _check_against_naive(ss, ws, ys, h_s, h_w, *queries)
+
+
+@given(seed=st.integers(0, 2**32 - 1), axis=st.sampled_from([0, 1]),
+       sign=st.sampled_from([-1.0, 1.0]))
+@settings(max_examples=25, deadline=None)
+def test_grid_at_exactly_one_bandwidth_from_a_point(seed, axis, sign):
+    # dyadic data and bandwidths, so x +- h is exact and that pair weighs 0;
+    # one step inside, toward the point, it weighs a little
+    rng = np.random.default_rng(seed)
+    cloud = rng.integers(0, 64, (2, 40)) / 8
+    ys = rng.integers(0, 2, 40)  # 0/1: a missed edge weight can leave a value at 0 or 1
+    h = 2.0 ** rng.integers(-3, 2, 2)
+    queries = cloud[:, rng.integers(0, 40, 20)]
+    queries[axis] += sign * h[axis]
+    inside = np.nextafter(queries[axis], queries[axis] - sign)
+    edge = [q.copy() for q in queries]
+    edge[axis] = inside
+    _check_against_naive(*cloud, ys, *h, *np.concatenate([queries, edge], axis=1))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_grid_clamps_every_far_query_at_its_nearest_point(seed):
+    rng = np.random.default_rng(seed)
+    ss, ws = rng.uniform(0, 10, (2, 50))
+    ys = rng.uniform(1, 2, 50)
+    queries = rng.uniform(-10, 20, (2, 30))
+    queries[rng.integers(0, 2), :] += rng.choice([-40.0, 40.0], 30)
+    vals, n_clamped = _check_against_naive(ss, ws, ys, 0.5, 0.5, *queries)
+    assert n_clamped == 30
+    nearest = _nearest_data_point([(ss, 0.5), (ws, 0.5)], queries)
+    direct, _ = nw_surface_many(ss, ws, ys, 0.5, 0.5, EPA, ss[nearest], ws[nearest], CLAMP)
+    assert np.array_equal(vals, direct)
+
+
+def test_grid_one_query_without_candidates():
+    # no occupied cell in the s range, then a cell whose points all lie
+    # outside the w range: both clamp to the nearest point, (2, 2)
+    ss, ws, ys = [0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 2.0, 4.0]
+    at_nearest, _ = nw_surface_many(ss, ws, ys, 0.5, 0.5, EPA, [2.0], [2.0], ERR)
+    for s0, w0 in ((50.0, 50.0), (2.0, 50.0)):
+        vals, n_clamped = _check_against_naive(ss, ws, ys, 0.5, 0.5, s0, w0)
+        assert n_clamped == 1 and np.array_equal(vals, at_nearest)
+        with pytest.raises(OutOfSupport) as exc_info:
+            nw_surface_many(ss, ws, ys, 0.5, 0.5, EPA, [s0], [w0], ERR)
+        assert exc_info.value.indices.tolist() == [0]
+        assert np.array_equal(exc_info.value.values, at_nearest)
+
+
+def test_grid_with_a_trillion_cells_per_axis():
+    # h = 1e-9 on data spread over 10^3 puts 10^12 cells on each axis, past
+    # any key that multiplies cell coordinates out; pairs of tied points share
+    # a cell, and the midpoints between data points clamp
+    rng = np.random.default_rng(8)
+    cloud = rng.uniform(0, 1000, (2, 20))
+    data = np.repeat(cloud, 2, axis=1)
+    ys = rng.uniform(1, 2, 40)
+    near = data + rng.uniform(-0.9e-9, 0.9e-9, data.shape)
+    between = (cloud[:, 1:] + cloud[:, :-1]) / 2
+    _, n_clamped = _check_against_naive(*data, ys, 1e-9, 1e-9,
+                                        *np.concatenate([near, between], axis=1))
+    assert n_clamped == between.shape[1]
+
+
 @pytest.mark.parametrize("dim", [1, 2], ids=["curve", "surface"])
 @pytest.mark.parametrize("kind", [EPA, GAU], ids=["epanechnikov", "gaussian"])
 def test_call_peaks_at_one_block_per_coordinate(dim, kind):
@@ -341,17 +481,33 @@ def test_call_peaks_at_one_block_per_coordinate(dim, kind):
             assert clamped == (600 if policy is OobPolicy.CLAMP_TO_NEAREST else 0)
 
 
+def test_grid_call_on_few_data_points_peaks_at_one_block():
+    # ten points under a bandwidth wider than their spread, so every pair is
+    # a candidate: the cell grid's per-query search arrays, not its pair
+    # workspace, would outgrow the block if ten points set the block's rows
+    rng = np.random.default_rng(13)
+    ss, ws, ys = rng.uniform(0, 1, (3, 10))
+    queries = rng.uniform(0, 1, (2, 200_000))
+    tracemalloc.start()
+    try:
+        nw_surface_many(ss, ws, ys, 10.0, 10.0, EPA, *queries, ERR)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * smoothing._BLOCK_DOUBLES * 8
+
+
 _REPEATED_SURFACE_CALLS = """
 import resource
 import sys
 import numpy as np
 from surrtest.smoothing import KernelKind, OobPolicy, SmoothingConfig, nw_surface_many
 rng = np.random.default_rng(5)
-n = int(sys.argv[1])  # queries per call
+n, kernel = int(sys.argv[1]), KernelKind(sys.argv[2])  # queries per call, kernel
 s, w, y, s0, w0 = (rng.uniform(0, 1, k) for k in (800, 800, 800, n, n))
-cfg = SmoothingConfig(oob_policy=OobPolicy.CLAMP_TO_NEAREST)
+cfg = SmoothingConfig(kernel=kernel, oob_policy=OobPolicy.CLAMP_TO_NEAREST)
 def call():
-    nw_surface_many(s, w, y, 0.3, 0.3, KernelKind.EPANECHNIKOV, s0, w0, cfg)
+    nw_surface_many(s, w, y, 0.3, 0.3, kernel, s0, w0, cfg)
 call()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(10):
@@ -368,16 +524,21 @@ def test_repeated_surface_calls_reuse_their_memory():
     # A tilde-sized call (20,000 queries) in 4096-query blocks of 52 MB was
     # mapped anew for every block, above glibc's 32 MiB mmap ceiling: about
     # 2700 faults per call.  A fresh interpreter per shape, so no earlier
-    # call has set malloc's thresholds.
+    # call has set malloc's thresholds.  The Epanechnikov kernel exercises the
+    # cell grid's pair workspace, the Gaussian the dense weight block; both
+    # keep the bounds the dense block was first held to.
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    for n_queries, block_bytes in ((600, 600 * 800 * 8),
-                                   (20_000, smoothing._BLOCK_DOUBLES * 8)):
-        done = subprocess.run([sys.executable, "-c", _REPEATED_SURFACE_CALLS, str(n_queries)],
-                              env=env, capture_output=True, text=True, check=True)
-        assert int(done.stdout) < block_bytes // 4096, n_queries  # ten calls, under one block's pages
+    for kind in (EPA, GAU):
+        for n_queries, block_bytes in ((600, 600 * 800 * 8),
+                                       (20_000, smoothing._BLOCK_DOUBLES * 8)):
+            done = subprocess.run(
+                [sys.executable, "-c", _REPEATED_SURFACE_CALLS, str(n_queries), kind.value],
+                env=env, capture_output=True, text=True, check=True)
+            # ten calls, under one block's pages
+            assert int(done.stdout) < block_bytes // 4096, (kind, n_queries)
 
 
 def test_nw_input_validation():
